@@ -5,8 +5,6 @@ from .cells import (
     ChainComplex,
     InconsistentComplexError,
     build_complex,
-    enumerate_prod_cells,
-    enumerate_simplices,
     facets,
 )
 from .constructions import (

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 from math import prod
+from typing import NamedTuple
 
-from .digraph import Digraph, analyze, longest_path_length
+from .digraph import Digraph, longest_path_length
 from .matrices import IntMatrix
 
 
@@ -32,22 +33,17 @@ def _strides(shape):
     return sizes, strides
 
 
-class Cell:
+class Cell(NamedTuple):
     """One prodsimplicial cell: a factor shape plus a row-major vertex grid.
 
     ``shape`` is () for a vertex, (n,) for an n-simplex, and a non-increasing
     tuple of factor dimensions otherwise.  ``grid`` lists host vertex labels
-    over the multi-index range, last factor varying fastest.
+    over the multi-index range, last factor varying fastest.  Both are
+    tuples, so cells hash, compare and sort by ``(shape, grid)``.
     """
 
-    __slots__ = ("shape", "grid")
-
-    def __init__(self, shape, grid):
-        object.__setattr__(self, "shape", tuple(shape))
-        object.__setattr__(self, "grid", tuple(grid))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cell is immutable")
+    shape: tuple
+    grid: tuple
 
     @property
     def dim(self) -> int:
@@ -62,15 +58,6 @@ class Cell:
 
     def vertices(self):
         return set(self.grid)
-
-    def sort_key(self):
-        return (self.shape, self.grid)
-
-    def __eq__(self, other):
-        return isinstance(other, Cell) and self.shape == other.shape and self.grid == other.grid
-
-    def __hash__(self):
-        return hash((self.shape, self.grid))
 
     def __repr__(self):
         if not self.shape:
@@ -155,10 +142,9 @@ def _tournaments(g: Digraph, max_n: int):
     vertex order.  Extension appends a common out-neighbor with no edges back
     into the current tuple, so 2-cycles never enter."""
     touts = {0: [(v,) for v in sorted(g.vertices)]}
-    d = 0
-    while d < max_n and touts[d]:
+    for d in range(1, max_n + 1):
         nxt = []
-        for tup in touts[d]:
+        for tup in touts[d - 1]:
             cands = set(g.out(tup[0]))
             for v in tup[1:]:
                 cands &= g.out(v)
@@ -166,10 +152,7 @@ def _tournaments(g: Digraph, max_n: int):
                 if any(g.has_edge(w, v) for v in tup):
                     continue
                 nxt.append(tup + (w,))
-        d += 1
         touts[d] = nxt
-    for dd in range(d + 1, max_n + 1):
-        touts.setdefault(dd, [])
     return touts
 
 
@@ -271,36 +254,7 @@ def _product_cells(g: Digraph, shape, base_grids):
 
     for g0 in base_grids:
         extend([g0], set(g0))
-    return sorted(found, key=Cell.sort_key)
-
-
-def enumerate_simplices(g: Digraph, max_dim: int):
-    """Vertex subsets inducing transitive tournaments, as cells per dimension,
-    each reported once in topological-order form."""
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    touts = _tournaments(g, max_dim)
-    return {d: [Cell((d,) if d else (), t) for t in sorted(touts[d])]
-            for d in range(max_dim + 1)}
-
-
-def enumerate_prod_cells(g: Digraph, max_dim: int):
-    """Product cells (two or more factors) per dimension up to max_dim."""
-    if max_dim < 2:
-        raise ValueError("product cells start at dimension 2")
-    touts = _tournaments(g, max_dim)
-    by_shape = {(d,): sorted(touts[d]) for d in range(1, max_dim + 1)}
-    out = {}
-    for n in range(2, max_dim + 1):
-        items = []
-        for shape in _partitions(n):
-            if len(shape) < 2:
-                continue
-            cells = _product_cells(g, shape, by_shape[shape[:-1]])
-            by_shape[shape] = [c.grid for c in cells]
-            items.extend(cells)
-        out[n] = sorted(items, key=Cell.sort_key)
-    return out
+    return sorted(found)
 
 
 class ChainComplex:
@@ -320,9 +274,10 @@ class ChainComplex:
         top = max(d for d in cells)
         self.complete = not cells.get(top)
         if not self.complete:
-            report = analyze(graph)
-            if report.acyclic and max_dim >= longest_path_length(graph):
-                self.complete = True
+            try:
+                self.complete = max_dim >= longest_path_length(graph)
+            except ValueError:  # cyclic: no path length bounds the cell dimension
+                pass
 
     def counts(self):
         return {d: len(cs) for d, cs in self.cells.items()}
@@ -384,7 +339,7 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
             prods = _product_cells(g, shape, by_shape[shape[:-1]])
             by_shape[shape] = [c.grid for c in prods]
             items.extend(prods)
-        cells[n] = sorted(items, key=Cell.sort_key)
+        cells[n] = sorted(items)
     return ChainComplex(g, max_dim, cells)
 
 

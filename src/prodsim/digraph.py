@@ -115,24 +115,14 @@ def analyze(g: Digraph) -> StructureReport:
                 seen.add(w)
                 stack.append(w)
     weakly = len(seen) == n
-    # Kahn topological sort
-    indeg = {v: len(g.inn(v)) for v in g.vertices}
-    queue = [v for v in g.vertices if indeg[v] == 0]
-    visited = 0
-    while queue:
-        v = queue.pop()
-        visited += 1
-        for w in g.out(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    acyclic = visited == n
+    acyclic = _topological_order(g) is not None
     consistent = weakly and acyclic and len(sources) == 1 and len(targets) == 1
     return StructureReport(sources, targets, weakly, acyclic, consistent)
 
 
-def longest_path_length(g: Digraph) -> int:
-    """Length (edge count) of the longest directed path in an acyclic graph."""
+def _topological_order(g: Digraph):
+    """Kahn's sort: the vertices in a topological order, or None when the
+    graph has a directed cycle."""
     order = []
     indeg = {v: len(g.inn(v)) for v in g.vertices}
     queue = [v for v in g.vertices if indeg[v] == 0]
@@ -143,7 +133,13 @@ def longest_path_length(g: Digraph) -> int:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if len(order) != len(g.vertices):
+    return order if len(order) == len(g.vertices) else None
+
+
+def longest_path_length(g: Digraph) -> int:
+    """Length (edge count) of the longest directed path in an acyclic graph."""
+    order = _topological_order(g)
+    if order is None:
         raise ValueError("longest path is only defined for acyclic graphs")
     dist = {v: 0 for v in g.vertices}
     for v in order:

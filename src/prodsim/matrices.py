@@ -44,10 +44,6 @@ class IntMatrix:
         """Sorted (row, col, value) triplets."""
         return [(r, c, self.entries[(r, c)]) for r, c in sorted(self.entries)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.ncols, self.nrows,
-                         {(c, r): v for (r, c), v in self.entries.items()})
-
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")

@@ -11,13 +11,11 @@ import math
 import os
 import random
 import time
-from itertools import combinations
 
 import pytest
 
 from prodsim import (
     Dow,
-    IntMatrix,
     are_coprime,
     build_complex,
     cartesian_product,
@@ -37,8 +35,8 @@ from prodsim import (
     tennis_sphere,
     three_square_sphere,
 )
-from prodsim.cli import main
-from prodsim.digraph import Digraph
+from prodsim.cli import _random_consistent_digraph, _random_dow, _random_matrix, main
+from test_homology import minor_gcd_invariant_factors
 
 TANGLED_REFERENCE = {
     2: (0, 0, 2), 3: (1, 0, 5), 4: (1, 2, 8), 5: (2, 6, 13),
@@ -170,33 +168,6 @@ def test_criterion_5_word_graph_examples():
            f"all match in {elapsed:.1f}s" if not failures else f"failed: {failures}")
 
 
-def _random_dow(rng, max_size):
-    size = rng.randint(1, max_size)
-    word = [s for s in range(1, size + 1) for _ in range(2)]
-    rng.shuffle(word)
-    return Dow(word)
-
-
-def _random_consistent_digraph(rng, max_n):
-    n = rng.randint(2, max_n)
-    vs = [f"v{i}" for i in range(n)]
-    edges = {(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.4}
-    indeg = {v: 0 for v in vs}
-    outdeg = {v: 0 for v in vs}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    for i in range(1, n):
-        if indeg[vs[i]] == 0:
-            edges.add((vs[0], vs[i]))
-            outdeg[vs[0]] += 1
-    for i in range(n - 1):
-        if outdeg[vs[i]] == 0:
-            edges.add((vs[i], vs[n - 1]))
-    return Digraph(vs, edges)
-
-
 @pytest.fixture(scope="module")
 def complex_corpus():
     """200 complexes of random word graphs (size <= 6) and random
@@ -205,9 +176,9 @@ def complex_corpus():
     corpus = []
     for i in range(200):
         if i % 2 == 0:
-            g = rooted_word_graph(_random_dow(rng, 6)).graph
+            g = rooted_word_graph(_random_dow(rng, rng.randint(1, 6))).graph
         else:
-            g = _random_consistent_digraph(rng, 8)
+            g = _random_consistent_digraph(rng, rng.randint(2, 8))
         from prodsim.digraph import longest_path_length
         depth = max(1, longest_path_length(g))
         corpus.append(build_complex(g, depth))
@@ -224,7 +195,7 @@ def test_criterion_6a_boundary_squares_to_zero(complex_corpus):
 def test_criterion_6b_reverse_isomorphism():
     rng = random.Random(20240902)
     for _ in range(200):
-        w = _random_dow(rng, 5)
+        w = _random_dow(rng, rng.randint(1, 5))
         ok = is_isomorphic(rooted_word_graph(w).graph,
                            rooted_word_graph(w.reverse()).graph)
         if not ok:
@@ -236,8 +207,8 @@ def test_criterion_6c_product_law():
     rng = random.Random(20240903)
     done = 0
     while done < 200:
-        w1 = _random_dow(rng, 3)
-        w2 = _random_dow(rng, 3)
+        w1 = _random_dow(rng, rng.randint(1, 3))
+        w2 = _random_dow(rng, rng.randint(1, 3))
         if not are_coprime(w1, w2):
             continue
         gcat = rooted_word_graph(concat(w1, w2)).graph
@@ -250,42 +221,10 @@ def test_criterion_6c_product_law():
     report("#6c (coprime concatenation = product)", True, "200 coprime pairs verified")
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-def _minor_gcd_factors(m):
-    rows = m.to_rows()
-    factors, prev = [], 1
-    for k in range(1, min(m.nrows, m.ncols) + 1):
-        g = 0
-        for rsel in combinations(range(m.nrows), k):
-            for csel in combinations(range(m.ncols), k):
-                g = math.gcd(g, _det([[rows[r][c] for c in csel] for r in rsel]))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return tuple(factors)
-
-
 def test_criterion_6d_snf_oracles():
     rng = random.Random(20240904)
     for case in range(200):
-        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
-        rows = [[rng.randint(-10, 10) if rng.random() < 0.6 else 0
-                 for _ in range(nc)] for _ in range(nr)]
-        m = IntMatrix.from_rows(rows)
+        m = _random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
         res = snf(m)
         if res.rank != rational_rank(m):
             report("#6d (SNF vs rank and minor-gcd oracles)", False,
@@ -294,7 +233,7 @@ def test_criterion_6d_snf_oracles():
             if b % a:
                 report("#6d (SNF vs rank and minor-gcd oracles)", False,
                        f"chain broken on case {case}: {res.invariant_factors}")
-        if nr <= 5 and nc <= 5 and res.invariant_factors != _minor_gcd_factors(m):
+        if m.nrows <= 5 and m.ncols <= 5 and res.invariant_factors != minor_gcd_invariant_factors(m):
             report("#6d (SNF vs rank and minor-gcd oracles)", False,
                    f"minor-gcd mismatch on case {case}")
     report("#6d (SNF vs rank and minor-gcd oracles)", True,

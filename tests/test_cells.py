@@ -11,8 +11,6 @@ from prodsim import (
     Dow,
     build_complex,
     cartesian_product,
-    enumerate_prod_cells,
-    enumerate_simplices,
     facets,
     global_word_graph,
     parse_word,
@@ -50,20 +48,28 @@ def count_squares_brute(g):
     return count
 
 
+def cells_by_factor_count(g, max_dim, simplices):
+    """Cells per dimension from build_complex, keeping simplices (and
+    vertices) or product cells of two or more factors."""
+    cx = build_complex(g, max_dim)
+    return {d: [c for c in cs if (len(c.shape) <= 1) == simplices]
+            for d, cs in cx.cells.items()}
+
+
 class TestSimplices:
     def test_full_simplex(self):
-        cells = enumerate_simplices(simplex_digraph(3), 3)
+        cells = cells_by_factor_count(simplex_digraph(3), 3, simplices=True)
         assert [len(cells[d]) for d in range(4)] == [4, 6, 4, 1]
 
     def test_directed_triangle_has_no_2_simplex(self):
         g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-        cells = enumerate_simplices(g, 2)
+        cells = cells_by_factor_count(g, 2, simplices=True)
         assert len(cells[1]) == 3
         assert cells[2] == []
 
     def test_transitive_triangle(self):
         g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-        cells = enumerate_simplices(g, 2)
+        cells = cells_by_factor_count(g, 2, simplices=True)
         assert len(cells[2]) == 1
         assert cells[2][0].grid == ("a", "b", "c")
 
@@ -71,7 +77,7 @@ class TestSimplices:
         # transitive tournament on m vertices has C(m, n+1) n-simplices
         from math import comb
         for m in (4, 5, 6):
-            cells = enumerate_simplices(simplex_digraph(m - 1), m - 1)
+            cells = cells_by_factor_count(simplex_digraph(m - 1), m - 1, simplices=True)
             for n in range(m):
                 assert len(cells[n]) == comb(m, n + 1)
 
@@ -79,14 +85,14 @@ class TestSimplices:
 class TestProdCells:
     def test_square_graph(self):
         g = cartesian_product(edge_graph(), edge_graph("x", "y"))
-        cells = enumerate_prod_cells(g, 2)
+        cells = cells_by_factor_count(g, 2, simplices=False)
         assert len(cells[2]) == 1
         assert cells[2][0].shape == (1, 1)
 
     def test_path_square_has_no_2_cells(self):
         g = Digraph(["v0", "v1", "v2", "v3"],
                     [("v0", "v3"), ("v0", "v1"), ("v1", "v2"), ("v2", "v3")])
-        cells = enumerate_prod_cells(g, 2)
+        cells = cells_by_factor_count(g, 2, simplices=False)
         assert cells[2] == []
 
     def test_cube_census(self):

@@ -1,0 +1,127 @@
+"""Golden digests: complexes and CLI output must stay byte-identical.
+
+Each group hashes the exact text the program produced for a fixed corpus,
+so a refactor of cell detection, orientation, sorting or boundary assembly
+that changes any byte of any output fails here and names the group.  The
+digests are SHA-256 of the group's text; regenerate them only for an
+intended change of output, and say so in the change log.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from prodsim import (
+    build_complex,
+    enumerate_dows,
+    global_word_graph,
+    lantern,
+    mixed,
+    multiloop,
+    path_square,
+    rooted_word_graph,
+    sphere_chain,
+    tangled_cord,
+    tennis_sphere,
+    three_square_sphere,
+)
+from prodsim.cells import complex_to_json
+from prodsim.cli import _random_dow, main
+
+GOLDEN = {
+    "constructions": "8cbd3c1dd1ffb9f10ddfb62f3f276f740e26df8a591f38530dae1e265475657d",
+    "words_le_4": "a8d46bbd0468dd96b355ab8412338aafef7f3acc0b71c660af400dda32181042",
+    "random_words_6": "3700ae9cec043427ded84294a765154bb1832c33c84358cf19f8a4238ec10b9e",
+    "tangled_cords": "7d92658d5c5a53ef94be2e25719748b3dbb7d542f31a2165a22f4efbdff233c7",
+    "global_3": "7be622b7602b8a40f298b392cada14950d05638a9ab88d101bb68fe6f8999ec4",
+    "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
+}
+
+CLI_COMMANDS = [
+    ["table", "9"],
+    ["homology", "global", "4"],
+    ["homology", "rooted", "1213243545"],
+    ["homology", "construct", "mixed", "2", "2", "--format", "json"],
+    ["graph", "rooted", "121323", "--format", "json"],
+    ["verify", "--cases", "30"],
+]
+
+
+def _constructions():
+    yield "path_square", path_square()
+    yield "three_square_sphere", three_square_sphere()
+    yield "tennis_sphere", tennis_sphere()
+    yield "tennis_sphere diagonal", tennis_sphere(True)
+    for k in range(6):
+        yield f"multiloop {k}", multiloop(k)
+    for k in range(1, 5):
+        yield f"sphere_chain {k}", sphere_chain(k)
+    for k in range(2, 7):
+        yield f"lantern {k}", lantern(k)
+    for k in range(4):
+        for l in range(1, 4):
+            yield f"mixed {k} {l}", mixed(k, l)
+
+
+def _words_le_4():
+    for size in range(5):
+        for w in enumerate_dows(size):
+            yield w.text(), rooted_word_graph(w).graph
+
+
+def _random_words_6():
+    rng = random.Random(0)
+    for _ in range(40):
+        w = _random_dow(rng, 6)
+        yield w.text(), rooted_word_graph(w).graph
+
+
+def _tangled_cords():
+    for n in range(2, 10):
+        yield f"tangled {n}", rooted_word_graph(tangled_cord(n)).graph
+
+
+def _global_3():
+    yield "global 3", global_word_graph(3).graph
+
+
+GRAPH_GROUPS = {
+    "constructions": _constructions,
+    "words_le_4": _words_le_4,
+    "random_words_6": _random_words_6,
+    "tangled_cords": _tangled_cords,
+    "global_3": _global_3,
+}
+
+
+def _digest(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def graph_group_digest(name):
+    return _digest(f"{label}\n{complex_to_json(build_complex(g, 3))}"
+                   for label, g in GRAPH_GROUPS[name]())
+
+
+def cli_digest(capsys):
+    chunks = []
+    for argv in CLI_COMMANDS:
+        code = main(list(argv))
+        chunks.append(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}")
+    return _digest(chunks)
+
+
+@pytest.mark.parametrize("group", sorted(GRAPH_GROUPS))
+def test_complex_json_digest(group):
+    got = graph_group_digest(group)
+    assert got == GOLDEN[group], f"golden group {group!r} changed: {got}"
+
+
+def test_cli_stdout_digest(capsys):
+    got = cli_digest(capsys)
+    assert got == GOLDEN["cli"], f"golden group 'cli' changed: {got}"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import prod
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -137,25 +136,6 @@ def facets(cell: Cell):
     return out
 
 
-def _tournaments(g: Digraph, max_n: int):
-    """Transitive tournaments by dimension, each as its unique topological
-    vertex order.  Extension appends a common out-neighbor with no edges back
-    into the current tuple, so 2-cycles never enter."""
-    touts = {0: [(v,) for v in sorted(g.vertices)]}
-    for d in range(1, max_n + 1):
-        nxt = []
-        for tup in touts[d - 1]:
-            cands = set(g.out(tup[0]))
-            for v in tup[1:]:
-                cands &= g.out(v)
-            for w in sorted(cands):
-                if any(g.has_edge(w, v) for v in tup):
-                    continue
-                nxt.append(tup + (w,))
-        touts[d] = nxt
-    return touts
-
-
 def _partitions(n, max_part=None):
     """Non-increasing integer partitions of n with parts >= 1."""
     if max_part is None:
@@ -169,92 +149,68 @@ def _partitions(n, max_part=None):
     return out
 
 
-def _skeleton_relation(shape):
-    """rel[t1][t2] = 1 when the product skeleton has edge t1 -> t2, i.e. the
-    multi-indices differ in exactly one coordinate, increasing."""
-    sizes, strides = _strides(shape)
-    total = prod(sizes)
-    multis = list(itertools.product(*(range(s) for s in sizes)))
-    rel = [[0] * total for _ in range(total)]
-    for t1 in range(total):
-        for t2 in range(total):
-            if t1 == t2:
-                continue
-            diff = [i for i in range(len(sizes)) if multis[t1][i] != multis[t2][i]]
-            if len(diff) == 1 and multis[t1][diff[0]] < multis[t2][diff[0]]:
-                rel[t1][t2] = 1
-    return rel
+def _add_layer(shape, smaller, fwd, adj):
+    """Canonical grids of every cell of ``shape``, grown from ``smaller``,
+    the canonical grids of its predecessor: S+(m-1) for S+(m), or S when
+    m = 1.  Dropping the last vertex of a canonical cell's last factor
+    leaves a canonical predecessor, so every cell is reached this way.
 
-
-def _product_cells(g: Digraph, shape, base_grids):
-    """All cells of a k>=2 shape, built by stacking exact copies of a
-    base-shape cell along the last (smallest) factor.
-
-    Layer 0 runs over canonical base cells; further layers are grids found by
-    depth-first search subject to exact translate edges, absence of any other
-    edges between layers, and global vertex distinctness.  Every abstract
-    cell is found at least once and deduplicated by canonical form.
+    Grids hold vertex indices; ``fwd[v]`` and ``adj[v]`` are bitmasks of
+    v's one-way out-neighbours and of all its neighbours.  The predecessor
+    grid splits into rows of m vertices, one per multi-index of S, and each
+    row gains a vertex that is a one-way out-neighbour of the whole row,
+    adjacent to no other row, new to the cell, and joined to the other new
+    vertices exactly as the first layer is joined.  When S ends in a factor
+    of dimension m too, the grown factor must sort after it, so each cell
+    is found once and already canonical.
     """
-    base_shape = shape[:-1]
-    layers_needed = shape[-1] + 1
-    base_len = prod(n + 1 for n in base_shape)
-    rel = _skeleton_relation(base_shape)
-    found = set()
-
-    def extend(stack, used):
-        if len(stack) == layers_needed:
-            grid = []
-            for t in range(base_len):
-                for layer in stack:
-                    grid.append(layer[t])
-            found.add(Cell.canonical(base_shape + (shape[-1],), grid))
-            return
-        last = stack[-1]
-        layer = [None] * base_len
-
-        def ok(x, t):
-            if x in used:
-                return False
-            for h in stack:
-                if not g.has_edge(h[t], x) or g.has_edge(x, h[t]):
-                    return False
-                for t2 in range(base_len):
-                    if t2 == t:
-                        continue
-                    if g.has_edge(h[t2], x) or g.has_edge(x, h[t2]):
-                        return False
-            for t2 in range(t):
-                y = layer[t2]
-                if x == y:
-                    return False
-                if rel[t2][t]:
-                    if not g.has_edge(y, x) or g.has_edge(x, y):
-                        return False
-                else:
-                    if g.has_edge(y, x) or g.has_edge(x, y):
-                        return False
-            return True
+    m = shape[-1]
+    tie = len(shape) > 1 and shape[-2] == m
+    found = []
+    for grid in smaller:
+        if tie and m > 1 and grid[1] < grid[m]:
+            continue
+        rows = [grid[i:i + m] for i in range(0, len(grid), m)]
+        used = 0
+        row_adj = []
+        for row in rows:
+            seen = 0
+            for v in row:
+                seen |= adj[v]
+                used |= 1 << v
+            row_adj.append(seen)
+        base = []
+        for t, row in enumerate(rows):
+            cand = ~used
+            for v in row:
+                cand &= fwd[v]
+            for t2, seen in enumerate(row_adj):
+                if t2 != t:
+                    cand &= ~seen
+            base.append(cand)
+        if tie and m == 1:
+            base[0] &= -2 << grid[1]
+        if not all(base):
+            continue
+        first = [row[0] for row in rows]
+        linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
+        new = [0] * len(rows)
 
         def assign(t):
-            if t == base_len:
-                new_layer = tuple(layer)
-                used.update(new_layer)
-                stack.append(new_layer)
-                extend(stack, used)
-                stack.pop()
-                used.difference_update(new_layer)
+            if t == len(rows):
+                found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
                 return
-            for x in sorted(g.out(last[t])):
-                if ok(x, t):
-                    layer[t] = x
-                    assign(t + 1)
-                    layer[t] = None
+            cand = base[t]
+            for y, link in zip(new, linked[t]):
+                cand &= fwd[y] if link else ~(adj[y] | 1 << y)
+            while cand:
+                low = cand & -cand
+                new[t] = low.bit_length() - 1
+                assign(t + 1)
+                cand ^= low
 
         assign(0)
-
-    for g0 in base_grids:
-        extend([g0], set(g0))
-    return sorted(found)
+    return found
 
 
 class ChainComplex:
@@ -325,21 +281,27 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
-    touts = _tournaments(g, max_dim)
+    labels = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(labels)}
+    out = [sum(1 << index[w] for w in g.out(v)) for v in labels]
+    inn = [sum(1 << index[w] for w in g.inn(v)) for v in labels]
+    fwd = [o & ~i for o, i in zip(out, inn)]
+    adj = [o | i for o, i in zip(out, inn)]
     cells = {
-        0: [Cell((), (v,)) for v in sorted(g.vertices)],
+        0: [Cell((), (v,)) for v in labels],
         1: [Cell((1,), e) for e in sorted(g.edges)],
     }
-    by_shape = {(d,): sorted(touts[d]) for d in range(1, max_dim + 1)}
-    for n in range(2, max_dim + 1):
-        items = [Cell((n,), t) for t in by_shape[(n,)]]
-        for shape in _partitions(n):
-            if len(shape) < 2:
-                continue
-            prods = _product_cells(g, shape, by_shape[shape[:-1]])
-            by_shape[shape] = [c.grid for c in prods]
-            items.extend(prods)
-        cells[n] = sorted(items)
+    # grids of vertex indices per shape; a 2-cycle never lies in a higher
+    # cell, so the (1,) grids are the one-way edges only
+    by_shape = {(): [(v,) for v in range(len(labels))]}
+    for n in range(1, max_dim + 1):
+        shapes = _partitions(n)
+        for shape in shapes:
+            smaller = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
+            by_shape[shape] = _add_layer(shape, by_shape[smaller], fwd, adj)
+        if n > 1:
+            cells[n] = sorted(Cell(shape, tuple(labels[v] for v in grid))
+                              for shape in shapes for grid in by_shape[shape])
     return ChainComplex(g, max_dim, cells)
 
 

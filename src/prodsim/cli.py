@@ -45,6 +45,19 @@ class _Budget:
             raise BudgetExceeded(label)
 
 
+def _at_least(kind, low):
+    """An argparse type: a ``kind`` value no smaller than ``low``."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:  # `not >=` also rejects nan
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_dow(text: str) -> Dow:
     return Dow(parse_word(text))
 
@@ -276,7 +289,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
     budget = _Budget(args.budget)
     lines = []
-    failed = False
+    code = 0
     for name in names:
         rng = random.Random((args.seed, name).__repr__())
         try:
@@ -284,12 +297,13 @@ def cmd_verify(args) -> int:
             ok, detail = SUITES[name](rng, args.cases)
         except BudgetExceeded:
             lines.append(f"suite {name}: SKIPPED (budget exceeded)")
-            failed = True
+            code = code or 3
             break
         lines.append(f"suite {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        failed = failed or not ok
+        if not ok:
+            code = 1
     _emit(args, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", nargs="+",
                    help="rooted WORD | global SIZE | construct NAME [ARGS...]")
     p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--budget", type=_at_least(float, 0), default=None, metavar="SECONDS")
     add_common(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("table", help="tangled cord invariants for n = 2..N")
     p.add_argument("n_max", type=int)
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--budget", type=_at_least(float, 0), default=None, metavar="SECONDS")
     add_common(p)
     p.set_defaults(func=cmd_table)
 
@@ -344,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append",
                    help="suite name (repeatable); default: boundary reverse product snf")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--cases", type=_at_least(int, 1), default=200)
+    p.add_argument("--budget", type=_at_least(float, 0), default=None, metavar="SECONDS")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

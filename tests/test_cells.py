@@ -158,8 +158,9 @@ class TestBruteForceDimensionThree:
         # products carry prisms and cubes; perturbations exercise rejection
         rng = random.Random(107)
         tri = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-        cases = [cube_graph(), cartesian_product(tri, edge_graph("x", "y"))]
+        cube = cube_graph()
         prism = cartesian_product(tri, edge_graph("x", "y"))
+        cases = [cube, prism]
         extra = Digraph(list(prism.vertices) + ["w"],
                         list(prism.edges) + [("(c|y)", "w"), ("(a|x)", "w")])
         cases.append(extra)
@@ -172,15 +173,41 @@ class TestBruteForceDimensionThree:
             es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)
                   if rng.random() < 0.55]
             cases.append(Digraph(vs, es))
+        # reciprocal pairs and directed cycles: a 2-cycle inside a grid must
+        # reject the cell, while cells beside it must survive
+        cases += [
+            Digraph(prism.vertices, list(prism.edges) + [("(b|x)", "(a|x)")]),
+            Digraph(prism.vertices, list(prism.edges) + [("(c|y)", "(a|x)")]),
+            Digraph(cube.vertices, list(cube.edges) + [("((b|b)|b)", "((a|a)|a)")]),
+            Digraph(list(prism.vertices) + ["w"], list(prism.edges) + [
+                ("(c|y)", "w"), ("w", "(a|y)"), ("w", "(b|x)"), ("(b|x)", "w")]),
+        ]
+        rng = random.Random(109)
+        for _ in range(6):
+            n = rng.randint(5, 7)
+            vs = [f"v{i}" for i in range(n)]
+            es = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    r = rng.random()
+                    if r < 0.6:
+                        es.append((vs[i], vs[j]))
+                    if 0.5 < r < 0.7:
+                        es.append((vs[j], vs[i]))
+            a, b, c = rng.sample(vs, 3)
+            cases.append(Digraph(vs, es + [(a, b), (b, c), (c, a)]))
         return cases
 
     def test_cell_census_matches_oracle(self):
-        coverage = {(3,): 0, (2, 1): 0, (1, 1, 1): 0}
+        coverage = {(2,): 0, (1, 1): 0, (3,): 0, (2, 1): 0, (1, 1, 1): 0}
         for g in self._graphs():
             cx = build_complex(g, 3)
             by_shape = {}
-            for c in cx.cells[3]:
-                by_shape.setdefault(c.shape, set()).add(c)
+            for d in (2, 3):
+                assert len(set(cx.cells[d])) == len(cx.cells[d])
+                for c in cx.cells[d]:
+                    assert c == Cell.canonical(c.shape, c.grid)
+                    by_shape.setdefault(c.shape, set()).add(c)
             for shape in coverage:
                 expected = brute_force_cells(g, shape)
                 assert by_shape.get(shape, set()) == expected, (shape, sorted(g.edges))

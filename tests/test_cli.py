@@ -1,9 +1,11 @@
 """Command-line interface: outputs, error paths, determinism, budgets."""
 
 import json
+import time
 
 import pytest
 
+from prodsim import cli
 from prodsim.cli import main
 
 
@@ -180,3 +182,38 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2 and "unknown suite" in err
+
+    def test_budget_exhausted_exits_3(self, capsys):
+        code, out, _ = run(capsys, "verify", "--cases", "5", "--budget", "0")
+        assert code == 3
+        assert out == "suite boundary: SKIPPED (budget exceeded)\n"
+
+    def test_failure_before_budget_expiry_exits_1(self, capsys, monkeypatch):
+        def failing(rng, cases):
+            time.sleep(0.05)
+            return False, "injected failure"
+        monkeypatch.setitem(cli.SUITES, "failing", failing)
+        code, out, _ = run(capsys, "verify", "--suite", "failing", "--suite", "snf",
+                           "--budget", "0.01")
+        assert code == 1
+        assert out.splitlines() == ["suite failing: FAIL (injected failure)",
+                                    "suite snf: SKIPPED (budget exceeded)"]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [["table", "4"], ["homology", "rooted", "1212"],
+                                      ["verify", "--cases", "5"]])
+    @pytest.mark.parametrize("budget", ["nan", "-1", "-0.5", "soon"])
+    def test_bad_budget_exits_2(self, capsys, argv, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", ["0", "-3", "many"])
+    def test_bad_cases_exits_2(self, capsys, cases):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cases", cases])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err and captured.out == ""

@@ -13,7 +13,9 @@ import random
 import pytest
 
 from prodsim import (
+    Digraph,
     build_complex,
+    cartesian_product,
     enumerate_dows,
     global_word_graph,
     lantern,
@@ -35,6 +37,7 @@ GOLDEN = {
     "random_words_6": "3700ae9cec043427ded84294a765154bb1832c33c84358cf19f8a4238ec10b9e",
     "tangled_cords": "7d92658d5c5a53ef94be2e25719748b3dbb7d542f31a2165a22f4efbdff233c7",
     "global_3": "7be622b7602b8a40f298b392cada14950d05638a9ab88d101bb68fe6f8999ec4",
+    "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
     "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
 }
 
@@ -86,13 +89,33 @@ def _global_3():
     yield "global 3", global_word_graph(3).graph
 
 
+def _simplex(n, prefix):
+    vs = [f"{prefix}{i}" for i in range(n + 1)]
+    return Digraph(vs, [(vs[i], vs[j]) for i in range(n + 1) for j in range(i + 1, n + 1)])
+
+
+def _high_dim():
+    # products whose cells reach dimension 5, with ties between equal factors
+    tri, tri2, tet = _simplex(2, "a"), _simplex(2, "b"), _simplex(3, "t")
+    e, f, h, k = (_simplex(1, p) for p in "efhk")
+    x = cartesian_product
+    yield "tri x tri", x(tri, tri2)
+    yield "e x e x e x e", x(x(x(e, f), h), k)
+    yield "tri x e x e", x(x(tri, e), f)
+    yield "tet x e", x(tet, e)
+    yield "tri x tri x e", x(x(tri, tri2), e)
+    yield "4-simplex", _simplex(4, "s")
+
+
 GRAPH_GROUPS = {
     "constructions": _constructions,
     "words_le_4": _words_le_4,
     "random_words_6": _random_words_6,
     "tangled_cords": _tangled_cords,
     "global_3": _global_3,
+    "high_dim": _high_dim,
 }
+MAX_DIM = {"high_dim": 5}
 
 
 def _digest(chunks):
@@ -104,7 +127,7 @@ def _digest(chunks):
 
 
 def graph_group_digest(name):
-    return _digest(f"{label}\n{complex_to_json(build_complex(g, 3))}"
+    return _digest(f"{label}\n{complex_to_json(build_complex(g, MAX_DIM.get(name, 3)))}"
                    for label, g in GRAPH_GROUPS[name]())
 
 

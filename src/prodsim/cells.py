@@ -291,6 +291,7 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
         0: [Cell((), (v,)) for v in labels],
         1: [Cell((1,), e) for e in sorted(g.edges)],
     }
+    cells.update((n, []) for n in range(2, max_dim + 1))
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
     # cell, so the (1,) grids are the one-way edges only
     by_shape = {(): [(v,) for v in range(len(labels))]}
@@ -299,6 +300,8 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
         for shape in shapes:
             smaller = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
             by_shape[shape] = _add_layer(shape, by_shape[smaller], fwd, adj)
+        if not any(by_shape[shape] for shape in shapes):
+            break  # every cell of dimension n + 1 grows from one of these
         if n > 1:
             cells[n] = sorted(Cell(shape, tuple(labels[v] for v in grid))
                               for shape in shapes for grid in by_shape[shape])

@@ -8,6 +8,7 @@ integers are never used.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +43,8 @@ def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     Diagonalizes with minimum-absolute-value pivoting to limit coefficient
-    growth, then redistributes the diagonal through gcd/lcm passes until the
-    divisibility chain holds.
+    growth, then folds the diagonal into a divisibility chain with one
+    gcd/lcm pass per non-unit entry.
     """
     return _snf(m, None)[0]
 
@@ -53,118 +54,89 @@ def kernel_basis(m: IntMatrix):
     basis vector, obtained from the column transform of the diagonalization."""
     qcols = {c: {c: 1} for c in range(m.ncols)}
     _, pivot_cols = _snf(m, qcols)
-    basis = []
-    for c in range(m.ncols):
-        if c not in pivot_cols:
-            vec = {i: v for i, v in sorted(qcols[c].items()) if v}
-            basis.append(vec)
-    return basis
+    return [dict(sorted(qcols[c].items())) for c in range(m.ncols) if c not in pivot_cols]
+
+
+def _quotient(e, v):
+    # nearest quotient: the remainder e - q*v lies in (-v/2, v/2]
+    q = e // v
+    return q + 1 if 2 * (e - q * v) > v else q
+
+
+def _sub(target, source, q):
+    """target -= q * source on sparse {position: value} dicts."""
+    if not q:
+        return
+    for k, v in source.items():
+        nv = target.get(k, 0) - q * v
+        if nv:
+            target[k] = nv
+        else:
+            del target[k]
 
 
 def _snf(m: IntMatrix, qcols):
     rows = {}
-    colrows = {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
-        colrows.setdefault(c, set()).add(r)
-
-    def row_sub(r2, r1, q):
-        # row r2 -= q * row r1
-        row1 = rows[r1]
-        row2 = rows.setdefault(r2, {})
-        for cc, v in row1.items():
-            nv = row2.get(cc, 0) - q * v
-            if nv:
-                row2[cc] = nv
-                colrows.setdefault(cc, set()).add(r2)
-            elif cc in row2:
-                del row2[cc]
-                colrows[cc].discard(r2)
-                if not colrows[cc]:
-                    del colrows[cc]
-        if not row2:
-            del rows[r2]
-
-    def col_sub(c2, c1, q):
-        # col c2 -= q * col c1
-        for rr in list(colrows.get(c1, ())):
-            v = rows[rr][c1]
-            row = rows[rr]
-            nv = row.get(c2, 0) - q * v
-            if nv:
-                row[c2] = nv
-                colrows.setdefault(c2, set()).add(rr)
-            elif c2 in row:
-                del row[c2]
-                colrows[c2].discard(rr)
-                if not colrows[c2]:
-                    del colrows[c2]
-        if qcols is not None:
-            target = qcols[c2]
-            for i, v in qcols[c1].items():
-                nv = target.get(i, 0) - q * v
-                if nv:
-                    target[i] = nv
-                else:
-                    target.pop(i, None)
 
     diag = []
     pivot_cols = set()
     while rows:
         r, c = _pick_pivot(rows)
         while True:
-            v = rows[r][c]
-            if v < 0:
-                # negate the pivot row
+            # clear column c with row operations, smallest row first (a
+            # sorted list is a heap); a nonzero remainder becomes the pivot
+            # and the old pivot row waits its turn
+            pending = sorted(r2 for r2, row2 in rows.items() if c in row2 and r2 != r)
+            while True:
                 row = rows[r]
-                for cc in row:
-                    row[cc] = -row[cc]
-                v = -v
-            others = colrows[c] - {r}
-            if others:
-                r2 = min(others)
-                e = rows[r2][c]
-                q = e // v
-                if 2 * (e - q * v) > v:
-                    q += 1
-                row_sub(r2, r, q)
-                if r2 in rows and c in rows.get(r2, {}):
-                    r = r2  # remainder is a smaller pivot
-                continue
-            row_cols = set(rows[r]) - {c}
-            if row_cols:
-                c2 = min(row_cols)
-                e = rows[r][c2]
-                q = e // v
-                if 2 * (e - q * v) > v:
-                    q += 1
-                col_sub(c2, c, q)
-                if c2 in rows.get(r, {}):
-                    c = c2
-                continue
-            break
-        diag.append(rows[r][c])
+                v = row[c]
+                if v < 0:
+                    for cc in row:
+                        row[cc] = -row[cc]
+                    v = -v
+                if not pending:
+                    break
+                r2 = heapq.heappop(pending)
+                row2 = rows[r2]
+                _sub(row2, row, _quotient(row2[c], v))
+                if not row2:
+                    del rows[r2]
+                elif c in row2:
+                    heapq.heappush(pending, r)
+                    r = r2
+            # column c now holds only the pivot, so a column operation
+            # changes just the pivot row (and the column transform)
+            for c2 in sorted(row):
+                if c2 == c:
+                    continue
+                e = row[c2]
+                q = _quotient(e, v)
+                if qcols is not None:
+                    _sub(qcols[c2], qcols[c], q)
+                rem = e - q * v
+                if rem:
+                    row[c2] = rem
+                    c = c2  # remainder is a smaller pivot
+                    break
+                del row[c2]
+            else:
+                break
+        diag.append(v)
         pivot_cols.add(c)
         del rows[r]
-        colrows[c].discard(r)
-        if not colrows[c]:
-            del colrows[c]
 
-    ones = sum(1 for d in diag if abs(d) == 1)
-    vals = [abs(d) for d in diag if abs(d) != 1]
-    while True:
-        vals.sort()
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i]:
-                    g = math.gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] * vals[j] // g
-                    changed = True
-        if not changed:
-            break
-    ones += sum(1 for v in vals if v == 1)
-    chain = [1] * ones + sorted(v for v in vals if v != 1)
+    units = diag.count(1)
+    vals = []
+    for d in diag:
+        if d != 1:
+            # insert d into the chain: one gcd/lcm pass keeps it dividing
+            for i, a in enumerate(vals):
+                g = math.gcd(a, d)
+                vals[i], d = g, a * d // g
+            vals.append(d)
+    chain = [1] * units + vals
     return SnfResult(tuple(chain), len(chain)), pivot_cols
 
 
@@ -229,12 +201,7 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySu
         max_deg = max(cx.max_dim - 1, 0)
     counts = cx.counts()
     top = cx.top_dim()
-    snfs = {}
-    for n in range(1, min(max_deg + 1, top) + 1):
-        if counts.get(n):
-            snfs[n] = snf(cx.boundary_matrix(n))
-        else:
-            snfs[n] = SnfResult((), 0)
+    snfs = {n: snf(cx.boundary_matrix(n)) for n in range(1, min(max_deg + 1, top) + 1)}
     cx.check_boundary_squares_to_zero()
 
     def rank_of(n):

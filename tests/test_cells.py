@@ -272,6 +272,22 @@ class TestBuildComplex:
         cx = build_complex(g, 2)
         assert cx.counts() == {0: 3, 1: 3, 2: 0}
 
+    def test_stops_growing_after_an_empty_dimension(self, monkeypatch):
+        # no 2-cell, so no shape of dimension 3 or more is worth enumerating
+        import prodsim.cells as cells_module
+        asked = []
+        partitions = cells_module._partitions
+
+        def spy(n, max_part=None):
+            asked.append(n)
+            return partitions(n, max_part)
+
+        monkeypatch.setattr(cells_module, "_partitions", spy)
+        cx = build_complex(edge_graph(), 30)
+        assert max(asked) == 2
+        assert cx.counts() == {0: 2, 1: 1, **{d: 0 for d in range(2, 31)}}
+        assert cx.complete
+
 
 class TestFacets:
     def test_edge(self):

@@ -23,6 +23,7 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
+from prodsim.cli import _random_matrix
 
 
 def _det(rows):
@@ -96,6 +97,18 @@ class TestSnf:
             assert res.rank == rational_rank(m)
             for a, b in zip(res.invariant_factors, res.invariant_factors[1:]):
                 assert b % a == 0
+
+
+    def test_against_sympy_invariant_factors(self):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+        rng = random.Random(109)
+        for i in range(200):
+            nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+            bound = rng.choice((2, 10, 100))
+            m = _random_matrix(rng, nr, nc, bound) if i % 20 else IntMatrix(nr, nc)
+            expected = normalforms.invariant_factors(Matrix(m.to_rows()), domain=ZZ)
+            assert snf(m).invariant_factors == tuple(abs(int(d)) for d in expected if d)
 
 
 class TestRationalRank:
@@ -211,6 +224,24 @@ class TestHomologySummary:
         assert len(basis) == 2
         rows = [[vec.get(i, 0) for vec in basis] for i in range(3)]
         assert rational_rank(IntMatrix.from_rows(rows)) == 2
+
+    def test_kernel_basis_is_an_integer_basis(self):
+        # the basis must span ker(m) over Z, not just over Q: stacked, its
+        # vectors have every invariant factor 1
+        from prodsim import kernel_basis
+        rng = random.Random(113)
+        for _ in range(150):
+            nc = rng.randint(1, 5)
+            m = _random_matrix(rng, rng.randint(1, 6), nc, rng.choice((2, 10)))
+            basis = kernel_basis(m)
+            assert len(basis) == nc - rational_rank(m)
+            rows = m.to_rows()
+            for vec in basis:
+                assert all(sum(row[i] * v for i, v in vec.items()) == 0 for row in rows)
+            if basis:
+                stacked = IntMatrix.from_rows([[vec.get(i, 0) for i in range(nc)]
+                                               for vec in basis])
+                assert minor_gcd_invariant_factors(stacked) == (1,) * len(basis)
 
     def test_truncation_flagged(self):
         vs = [f"v{i}" for i in range(4)]

@@ -42,19 +42,87 @@ def _pick_pivot(rows):
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
-    Diagonalizes with minimum-absolute-value pivoting to limit coefficient
-    growth, then folds the diagonal into a divisibility chain with one
-    gcd/lcm pass per non-unit entry.
+    A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
+    remainder is diagonalized with minimum-absolute-value pivoting to limit
+    coefficient growth, and its diagonal is folded into a divisibility chain
+    with one gcd/lcm pass per non-unit entry.
     """
-    return _snf(m, None)[0]
+    rows = _rows(m)
+    units = _unit_pass(rows)
+    res, _ = _snf(rows, None)
+    return SnfResult((1,) * units + res.invariant_factors, units + res.rank)
 
 
 def kernel_basis(m: IntMatrix):
     """An integer basis of ker(m), one {column_index: coefficient} dict per
     basis vector, obtained from the column transform of the diagonalization."""
     qcols = {c: {c: 1} for c in range(m.ncols)}
-    _, pivot_cols = _snf(m, qcols)
+    _, pivot_cols = _snf(_rows(m), qcols)
     return [dict(sorted(qcols[c].items())) for c in range(m.ncols) if c not in pivot_cols]
+
+
+def _rows(m: IntMatrix):
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def _unit_pass(rows):
+    """Eliminate +-1 pivots in Markowitz order, in place on {row: {col: v}}.
+
+    Columns come off a heap keyed by their length, shortest first; in each,
+    the pivot is the shortest row holding a +-1.  Clearing the pivot column
+    with row operations and dropping the pivot row and column is a unimodular
+    Schur step, so the rank and the invariant factors are kept.  Returns the
+    number of unit pivots; `rows` is left holding the non-unit remainder.
+    """
+    # column index: append-only row lists, compacted when the column is
+    # popped; a column whose length went stale goes back on the heap
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, []).append(r)
+    heap = [(len(rs), c) for c, rs in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        n, c = heapq.heappop(heap)
+        live = [r for r in dict.fromkeys(cols[c]) if c in rows.get(r, ())]
+        cols[c] = live
+        if len(live) != n:
+            if live:
+                heapq.heappush(heap, (len(live), c))
+            continue
+        piv = None
+        for r in live:
+            if rows[r][c] in (1, -1) and (piv is None or len(rows[r]) < len(rows[piv])):
+                piv = r
+        if piv is None:
+            continue
+        prow = rows.pop(piv)
+        pv = prow[c]
+        for r in live:
+            if r == piv:
+                continue
+            # row -= q * prow as in `_sub` (pv is +-1, so q = row[c] / pv),
+            # inlined to index each fill-in entry as it appears
+            row = rows[r]
+            q = row[c] * pv
+            for k, v in prow.items():
+                if k in row:
+                    nv = row[k] - q * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+                else:
+                    row[k] = -q * v
+                    cols[k].append(r)
+            if not row:
+                del rows[r]
+        units += 1
+    return units
 
 
 def _quotient(e, v):
@@ -75,11 +143,7 @@ def _sub(target, source, q):
             del target[k]
 
 
-def _snf(m: IntMatrix, qcols):
-    rows = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-
+def _snf(rows, qcols):
     diag = []
     pivot_cols = set()
     while rows:

@@ -199,6 +199,42 @@ class TestIsomorphism:
         h = Digraph(["a", "b", "c"], [("a", "b"), ("a", "c")])
         assert not is_isomorphic(g, h)
 
+    def test_agrees_with_networkx(self):
+        # half relabelled copies, half with one edge moved to a non-edge, so
+        # vertex and edge counts always match; networkx decides each pair
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            d = nx.DiGraph()
+            d.add_nodes_from(g.vertices)
+            d.add_edges_from(g.edges)
+            return d
+
+        rng = random.Random(131)
+        verdicts = []
+        while len(verdicts) < 200:
+            g = _random_digraph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+            edges = sorted(g.edges)
+            if len(verdicts) % 2:
+                non_edges = [(u, v) for u in g.vertices for v in g.vertices
+                             if u != v and (u, v) not in g.edges]
+                if not edges or not non_edges:
+                    continue
+                edges.remove(rng.choice(edges))
+                edges.append(rng.choice(non_edges))
+            perm = list(g.vertices)
+            rng.shuffle(perm)
+            mapping = dict(zip(g.vertices, perm))
+            h = Digraph(g.vertices, edges).relabel(mapping)
+            witness = find_isomorphism(g, h)
+            expected = nx.is_isomorphic(to_nx(g), to_nx(h))
+            assert is_isomorphic(g, h) == (witness is not None) == expected
+            if witness is not None:
+                assert sorted(witness.values()) == sorted(h.vertices)
+                assert {(witness[u], witness[v]) for u, v in g.edges} == h.edges
+            verdicts.append(expected)
+        assert 0 < verdicts.count(False) < verdicts.count(True)
+
 
 class TestExport:
     def test_dot_stable(self):

@@ -11,6 +11,7 @@ from prodsim import (
     Dow,
     IntMatrix,
     build_complex,
+    global_word_graph,
     glue_at_vertex,
     homology_summary,
     lantern,
@@ -20,10 +21,12 @@ from prodsim import (
     rational_rank,
     rooted_word_graph,
     snf,
+    tangled_cord,
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
 from prodsim.cli import _random_matrix
+from prodsim.homology import _rows, _snf
 
 
 def _det(rows):
@@ -109,6 +112,49 @@ class TestSnf:
             m = _random_matrix(rng, nr, nc, bound) if i % 20 else IntMatrix(nr, nc)
             expected = normalforms.invariant_factors(Matrix(m.to_rows()), domain=ZZ)
             assert snf(m).invariant_factors == tuple(abs(int(d)) for d in expected if d)
+
+    def test_unit_pass_matches_plain_smith_loop(self):
+        # snf() eliminates the +-1 pivots before the Smith loop; the loop on
+        # the whole matrix is the oracle.  Hand-made cases: empty shapes, a
+        # unit that fill-in turns into a 2 left for the loop, and an entry
+        # that fill-in turns from -1 to -3 and back to 1
+        cases = [IntMatrix(0, 0), IntMatrix(0, 4), IntMatrix(5, 0), IntMatrix(3, 7),
+                 IntMatrix.from_rows([[1, 1], [-1, 1]]),
+                 IntMatrix.from_rows([[2, -1, 0], [1, 1, -2], [0, 1, -1]])]
+        rng = random.Random(127)
+        values = (1, -1, 2, -2, 3, -3, 4, 6)
+        for _ in range(2000):
+            nr, nc, density = rng.randint(0, 10), rng.randint(0, 10), rng.random()
+            cases.append(IntMatrix(nr, nc, {(r, c): rng.choice(values)
+                                            for r in range(nr) for c in range(nc)
+                                            if rng.random() < density}))
+        for m in cases:
+            assert snf(m) == _snf(_rows(m), None)[0], m.triplets()
+
+    def test_unit_pass_matches_plain_smith_loop_on_word_graphs(self):
+        graphs = [rooted_word_graph(tangled_cord(n)).graph for n in range(2, 12)]
+        graphs.append(global_word_graph(4).graph)
+        torsion = []
+        for g in graphs:
+            cx = build_complex(g, 3)
+            for n in range(1, cx.top_dim() + 1):
+                m = cx.boundary_matrix(n)
+                res = snf(m)
+                assert res == _snf(_rows(m), None)[0]
+                torsion += [d for d in res.invariant_factors if d > 1]
+        assert torsion == [2, 2]  # d3 of the tangled cords on 10 and 11 symbols
+
+    def test_no_pivot_search_when_units_eliminate_everything(self, monkeypatch):
+        # every boundary of the tangled cord on 9 symbols reduces to nothing
+        # by unit pivots, so the Smith loop's pivot search never runs
+        from prodsim import homology
+
+        def no_search(rows):
+            raise AssertionError("_pick_pivot called on an empty remainder")
+
+        monkeypatch.setattr(homology, "_pick_pivot", no_search)
+        cx = build_complex(rooted_word_graph(tangled_cord(9)).graph, 3)
+        assert [snf(cx.boundary_matrix(n)).rank for n in (1, 2, 3)] == [88, 250, 317]
 
 
 class TestRationalRank:

@@ -12,7 +12,7 @@ the orientation representative used by the boundary operator.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from typing import NamedTuple
 
@@ -24,12 +24,49 @@ class InconsistentComplexError(RuntimeError):
     """The boundary operator failed to square to zero (construction bug)."""
 
 
-def _strides(shape):
-    sizes = [n + 1 for n in shape]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return sizes, strides
+def _positions(walk):
+    """Grid positions of a row-major walk over per-factor offset lists."""
+    pos = [0]
+    for offsets in walk:
+        pos = [p + q for p in pos for q in offsets]
+    return tuple(pos)
+
+
+def _block_sign(dims, order):
+    """Orientation parity of reordering blocks of dimensions ``dims``."""
+    sign = 1
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            if order[a] > order[b] and (dims[order[a]] * dims[order[b]]) % 2:
+                sign = -sign
+    return sign
+
+
+@functools.cache
+def _shape_rule(shape):
+    """What a shape alone decides: each factor's axis positions from the
+    grid origin, and the facet rule.
+
+    Per factor i and deleted vertex j, the rule holds the grid positions the
+    facet keeps, its sub-shape, with a one-vertex factor absorbed and the
+    rest stably sorted by descending dimension, and its sign: (-1)^(alpha+j),
+    alpha the dimensions before factor i, times the parity of that sort.
+    The label order of equal-dimension factors is left to the cell.
+    """
+    axes, stride = (), 1
+    for n in reversed(shape):
+        axes = (tuple(range(0, (n + 1) * stride, stride)),) + axes
+        stride *= n + 1
+    rule = []
+    for i, n in enumerate(shape):
+        dims = shape[:i] + (n - 1,) + shape[i + 1:]
+        order = sorted(range(len(shape)), key=lambda a: -dims[a])
+        sign = (-1) ** sum(shape[:i]) * _block_sign(dims, order)
+        for j in range(n + 1):
+            walk = [[q for t, q in enumerate(axes[a]) if a != i or t != j] for a in order]
+            rule.append((_positions(walk), tuple(dims[a] for a in order if dims[a]), sign))
+            sign = -sign
+    return axes, tuple(rule)
 
 
 class Cell(NamedTuple):
@@ -51,9 +88,7 @@ class Cell(NamedTuple):
     @property
     def factors(self):
         """Axis tuples: the vertex rows from the grid origin along each factor."""
-        sizes, strides = _strides(self.shape)
-        return tuple(tuple(self.grid[j * strides[i]] for j in range(sizes[i]))
-                     for i in range(len(self.shape)))
+        return tuple(tuple(self.grid[p] for p in axis) for axis in _shape_rule(self.shape)[0])
 
     def vertices(self):
         return set(self.grid)
@@ -64,10 +99,6 @@ class Cell(NamedTuple):
         facs = "x".join(str(n) for n in self.shape)
         return f"Cell({facs}: {self.grid})"
 
-    @classmethod
-    def canonical(cls, shape, grid) -> "Cell":
-        return canonical_with_sign(shape, grid)[0]
-
 
 def canonical_with_sign(shape, grid):
     """Sort factors into canonical order; the sign is the orientation parity
@@ -77,40 +108,13 @@ def canonical_with_sign(shape, grid):
     k = len(shape)
     if k <= 1:
         return Cell(shape, grid), 1
-    sizes, strides = _strides(shape)
-    axes = [tuple(grid[j * strides[i]] for j in range(sizes[i])) for i in range(k)]
-    order = sorted(range(k), key=lambda i: (-shape[i], axes[i]))
+    axes = _shape_rule(shape)[0]
+    order = sorted(range(k), key=lambda i: (-shape[i], [grid[p] for p in axes[i]]))
     if order == list(range(k)):
         return Cell(shape, grid), 1
-    sign = 1
-    for a in range(k):
-        for b in range(a + 1, k):
-            if order[a] > order[b] and (shape[order[a]] * shape[order[b]]) % 2:
-                sign = -sign
-    new_shape = tuple(shape[i] for i in order)
-    new_sizes = [n + 1 for n in new_shape]
-    new_grid = []
-    old_multi = [0] * k
-    for multi in itertools.product(*(range(s) for s in new_sizes)):
-        for t in range(k):
-            old_multi[order[t]] = multi[t]
-        new_grid.append(grid[sum(m * s for m, s in zip(old_multi, strides))])
-    return Cell(new_shape, tuple(new_grid)), sign
-
-
-def _subgrid(shape, grid, axis, kept):
-    """Restrict one factor to the kept vertex indices; a factor reduced to a
-    single vertex is absorbed into the remaining grid."""
-    sizes, strides = _strides(shape)
-    ranges = [range(sz) for sz in sizes]
-    ranges[axis] = kept
-    new_grid = tuple(grid[sum(m * s for m, s in zip(multi, strides))]
-                     for multi in itertools.product(*ranges))
-    if len(kept) == 1:
-        new_shape = shape[:axis] + shape[axis + 1:]
-    else:
-        new_shape = shape[:axis] + (len(kept) - 1,) + shape[axis + 1:]
-    return new_shape, new_grid
+    new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
+    return (Cell(tuple(shape[i] for i in order), new_grid),
+            _block_sign(shape, order))
 
 
 def facets(cell: Cell):
@@ -119,20 +123,16 @@ def facets(cell: Cell):
     Factor i contributes its simplex boundary with global sign (-1)^alpha(i),
     alpha(i) the sum of the preceding factor dimensions; deleting vertex j
     inside the factor carries (-1)^j, and re-sorting the resulting factors
-    multiplies by the block-permutation parity.
+    multiplies by the block-permutation parity; all but the label order of
+    equal-dimension factors comes from the shape's facet rule.
     """
     if cell.dim == 0:
         raise ValueError("a vertex has no facets")
+    grid = cell.grid
     out = []
-    alpha = 0
-    for axis, n in enumerate(cell.shape):
-        for j in range(n + 1):
-            kept = [t for t in range(n + 1) if t != j]
-            sub_shape, sub_grid = _subgrid(cell.shape, cell.grid, axis, kept)
-            fac, csign = canonical_with_sign(sub_shape, sub_grid)
-            sign = csign if (alpha + j) % 2 == 0 else -csign
-            out.append((fac, sign))
-        alpha += n
+    for positions, sub_shape, sign in _shape_rule(cell.shape)[1]:
+        fac, csign = canonical_with_sign(sub_shape, [grid[p] for p in positions])
+        out.append((fac, sign * csign))
     return out
 
 
@@ -249,16 +249,16 @@ class ChainComplex:
             return self._matrices[n]
         rows = self.index.get(n - 1, {})
         cols = self.cells.get(n, [])
-        entries = {}
+        # the facets of a cell are distinct cells, so each entry is written once
+        by_row = {}
         for j, cell in enumerate(cols):
             for fac, sign in facets(cell):
                 i = rows.get(fac)
                 if i is None:
                     raise InconsistentComplexError(
                         f"facet {fac!r} of {cell!r} missing from dimension {n - 1}")
-                key = (i, j)
-                entries[key] = entries.get(key, 0) + sign
-        m = IntMatrix(len(rows), len(cols), entries)
+                by_row.setdefault(i, {})[j] = sign
+        m = IntMatrix.from_row_dicts(len(rows), len(cols), by_row)
         self._matrices[n] = m
         return m
 

@@ -79,11 +79,6 @@ class Digraph:
         return Digraph([mapping[v] for v in self.vertices],
                        [(mapping[u], mapping[v]) for u, v in self.edges])
 
-    def induced(self, keep) -> "Digraph":
-        keep = set(keep)
-        return Digraph([v for v in self.vertices if v in keep],
-                       [(u, v) for u, v in self.edges if u in keep and v in keep])
-
 
 @dataclass(frozen=True)
 class StructureReport:

@@ -62,10 +62,8 @@ def kernel_basis(m: IntMatrix):
 
 
 def _rows(m: IntMatrix):
-    rows = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return rows
+    # a copy: the eliminations work in place, and the matrix stays cached
+    return {r: dict(row) for r, row in m.rows.items()}
 
 
 def _unit_pass(rows):

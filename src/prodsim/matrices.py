@@ -5,34 +5,39 @@ from __future__ import annotations
 
 
 class IntMatrix:
-    """A sparse integer matrix stored as a {(row, col): value} dict."""
+    """A sparse integer matrix stored as {row: {col: value}} dicts, the form
+    the Smith elimination consumes: nonzeros only, and no empty rows."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (r, c), v in dict(entries).items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                if v:
-                    self.entries[(r, c)] = v
+        self.nrows, self.ncols, self.rows = nrows, ncols, {}
+        for (r, c), v in dict(entries or {}).items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
+            if v:
+                self.rows.setdefault(r, {})[c] = v
+
+    @classmethod
+    def from_row_dicts(cls, nrows: int, ncols: int, rows) -> "IntMatrix":
+        """Wrap row dicts as they are: in range, no zeros, no empty rows."""
+        m = cls(nrows, ncols)
+        m.rows = rows
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
+                                      for j, v in enumerate(row)})
+
+    @property
+    def entries(self):
+        """The nonzeros as a {(row, col): value} dict."""
+        return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
 
     def to_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
@@ -42,26 +47,27 @@ class IntMatrix:
 
     def triplets(self):
         """Sorted (row, col, value) triplets."""
-        return [(r, c, self.entries[(r, c)]) for r, c in sorted(self.entries)]
+        return [(r, c, v) for r in sorted(self.rows) for c, v in sorted(self.rows[r].items())]
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                acc[(r, c)] = acc.get((r, c), 0) + v * w
-        return IntMatrix(self.nrows, other.ncols, acc)
+        product = {}
+        for r, row in self.rows.items():
+            acc = {}
+            for k, v in row.items():
+                for c, w in other.rows.get(k, {}).items():
+                    acc[c] = acc.get(c, 0) + v * w
+            if any(acc.values()):
+                product[r] = {c: v for c, v in acc.items() if v}
+        return IntMatrix.from_row_dicts(self.nrows, other.ncols, product)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzeros)"

@@ -7,6 +7,7 @@ budget are reported as skipped rather than failed, but any finished value
 must match the reference exactly.
 """
 
+import importlib.util
 import math
 import os
 import random
@@ -104,6 +105,18 @@ def test_criterion_2b_tangled_vertex_counts_are_fibonacci():
     ok = counts == expected == {n: row[2] for n, row in TANGLED_REFERENCE.items()}
     report("#2b (tangled cord vertex counts, Fibonacci closed form, n=2..13)", ok,
            f"counts {sorted(counts.values())}")
+
+
+def test_benchmark_table_matches_reference():
+    # the benchmark gates its table rows on its own copy of this table
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    if not os.path.exists(path):
+        pytest.skip("no perfbench/workloads.py in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for n, row in workloads.TANGLED_REFERENCE.items():
+        assert row == TANGLED_REFERENCE[n], n
 
 
 def test_criterion_3_torsion_probe_t10():

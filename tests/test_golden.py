@@ -41,6 +41,7 @@ GOLDEN = {
     "tangled_cords": "7d92658d5c5a53ef94be2e25719748b3dbb7d542f31a2165a22f4efbdff233c7",
     "global_3": "7be622b7602b8a40f298b392cada14950d05638a9ab88d101bb68fe6f8999ec4",
     "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
+    "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
     "kernel_bases": "13d66aeec24bac6cc8afa31ec1741a272dc26090d0cc6bae240d2cad30593bfb",
     "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
 }
@@ -111,6 +112,17 @@ def _high_dim():
     yield "4-simplex", _simplex(4, "s")
 
 
+def _high_dim_6():
+    # facets of (3, 2) tie a reduced 3-factor with the 2-factor; three equal
+    # factors tie in every facet; the middle edge is reordered on construction
+    tri, tri2, tri3, tet = _simplex(2, "a"), _simplex(2, "b"), _simplex(2, "c"), _simplex(3, "t")
+    e = _simplex(1, "e")
+    x = cartesian_product
+    yield "tet x tri", x(tet, tri)
+    yield "tri x tri x tri", x(x(tri, tri2), tri3)
+    yield "tri x e x tri", x(x(tri, e), tri2)
+
+
 GRAPH_GROUPS = {
     "constructions": _constructions,
     "words_le_4": _words_le_4,
@@ -118,8 +130,9 @@ GRAPH_GROUPS = {
     "tangled_cords": _tangled_cords,
     "global_3": _global_3,
     "high_dim": _high_dim,
+    "high_dim_6": _high_dim_6,
 }
-MAX_DIM = {"high_dim": 5}
+MAX_DIM = {"high_dim": 5, "high_dim_6": 6}
 
 
 def _digest(chunks):

@@ -11,6 +11,7 @@ from prodsim import (
     Dow,
     IntMatrix,
     build_complex,
+    cartesian_product,
     global_word_graph,
     glue_at_vertex,
     homology_summary,
@@ -25,7 +26,8 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
-from prodsim.cli import _random_matrix
+from prodsim.cli import _random_consistent_digraph, _random_matrix
+from prodsim.digraph import longest_path_length
 from prodsim.homology import _rows, _snf
 
 
@@ -299,3 +301,63 @@ class TestHomologySummary:
         full = homology_summary(build_complex(g, 3), max_deg=2)
         assert full.truncated == ()
         assert full.betti[2] == 0
+
+
+def _complete_homology(g):
+    cx = build_complex(g, max(1, longest_path_length(g)))
+    assert cx.complete
+    s = homology_summary(cx, max_deg=cx.top_dim())
+    return cx.counts(), {n: (b, s.torsion[n]) for n, b in s.betti.items()}
+
+
+def _primary_parts(orders):
+    """Prime-power orders of the cyclic summands of the sum of Z/m over m in orders."""
+    parts = []
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def _kunneth(hg, hh):
+    """H_n(G x H) = sum of H_i (x) H_j over i + j = n, plus Tor(H_i, H_j) over
+    i + j = n - 1; each H is (betti, torsion orders) per degree."""
+    out = {}
+    for i, (a, s) in hg.items():
+        for j, (b, t) in hh.items():
+            tor = [math.gcd(p, q) for p in s for q in t]
+            here = out.setdefault(i + j, [0, []])
+            here[0] += a * b
+            here[1] += s * b + t * a + tor
+            out.setdefault(i + j + 1, [0, []])[1].extend(tor)
+    return {n: (betti, _primary_parts(tors)) for n, (betti, tors) in out.items()}
+
+
+def test_cartesian_product_obeys_kunneth():
+    # the complex of G x H is the product complex: its cell counts are the
+    # convolution of the factors' and its homology is the Kuenneth sum
+    rng = random.Random(20240917)
+    nontrivial = 0
+    for _ in range(40):
+        g = _random_consistent_digraph(rng, rng.randint(3, 6))
+        h = _random_consistent_digraph(rng, rng.randint(3, 5))
+        cg, hg = _complete_homology(g)
+        ch, hh = _complete_homology(h)
+        cp, hp = _complete_homology(cartesian_product(g, h))
+        top = max(cp)
+        assert all(cp.get(n, 0) == sum(cg.get(i, 0) * ch.get(n - i, 0) for i in range(n + 1))
+                   for n in range(top + 2)), (sorted(g.edges), sorted(h.edges))
+        expected = _kunneth(hg, hh)
+        for n in range(top + 2):
+            betti, tors = hp.get(n, (0, []))
+            assert (betti, _primary_parts(tors)) == expected.get(n, (0, [])), \
+                (n, sorted(g.edges), sorted(h.edges))
+        nontrivial += any(hp[n] != (n == 0, []) for n in hp)
+    assert nontrivial >= 10

@@ -1,0 +1,73 @@
+"""The sparse integer matrix shared by the complex builder and the solver."""
+
+import random
+
+import pytest
+
+from prodsim import IntMatrix
+from prodsim.cli import _random_matrix
+
+
+def _dense_product(a, b, inner, ncols):
+    return [[sum(row[k] * b[k][c] for k in range(inner)) for c in range(ncols)] for row in a]
+
+
+def test_out_of_range_entry_raises():
+    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            IntMatrix(2, 3, {key: 1})
+    with pytest.raises(IndexError):
+        IntMatrix(0, 0, {(0, 0): 1})
+
+
+def test_explicit_zeros_are_dropped():
+    m = IntMatrix(3, 3, {(0, 0): 0, (1, 2): 5, (2, 1): 0})
+    assert m == IntMatrix(3, 3, {(1, 2): 5})
+    assert len(m.entries) == 1
+    assert m.entries == {(1, 2): 5}
+    assert not m.is_zero()
+    zero = IntMatrix(2, 2, {(0, 1): 0, (1, 0): 0})
+    assert zero.is_zero()
+    assert zero == IntMatrix(2, 2)
+    assert len(zero.entries) == 0
+    assert IntMatrix.from_rows([[0, 0], [0, 7]]) == IntMatrix(2, 2, {(1, 1): 7})
+
+
+def test_equality_needs_equal_dimensions():
+    assert IntMatrix(2, 3) != IntMatrix(3, 2)
+    assert IntMatrix(2, 2, {(0, 0): 1}) != IntMatrix(2, 2, {(0, 0): -1})
+    assert IntMatrix(1, 1) != [[0]]
+
+
+def test_matmul_equals_dense_product():
+    rng = random.Random(211)
+    sizes = (0, 1, 2, 3, 5, 7)
+    for i in range(200):
+        nr, inner, nc = (rng.choice(sizes) for _ in range(3))
+        if i < 8:  # an empty side in every position
+            nr, inner, nc = [(0, 2, 3), (3, 0, 2), (2, 3, 0), (0, 0, 0)][i % 4]
+        a = _random_matrix(rng, nr, inner, rng.choice((1, 3, 10)))
+        b = _random_matrix(rng, inner, nc, rng.choice((1, 3, 10)))
+        got = a.matmul(b)
+        assert (got.nrows, got.ncols) == (nr, nc)
+        assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)
+        assert all(v for v in got.entries.values())
+    with pytest.raises(ValueError):
+        IntMatrix(2, 3).matmul(IntMatrix(2, 3))
+
+
+def test_triplets_sorted_and_dense_round_trip():
+    rng = random.Random(223)
+    for _ in range(50):
+        m = _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        trip = m.triplets()
+        assert trip == sorted(trip)
+        assert {(r, c): v for r, c, v in trip} == m.entries
+        dense = m.to_rows()
+        assert len(dense) == m.nrows and all(len(row) == m.ncols for row in dense)
+        back = IntMatrix.from_rows(dense)
+        if m.nrows:
+            assert back == m
+        assert back.to_rows() == dense
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2], [3]])

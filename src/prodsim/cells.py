@@ -6,8 +6,8 @@ one per multi-index, whose induced subgraph equals the Cartesian-product
 skeleton exactly: a cell is attached only when no extra edges run between
 its grid vertices.  Within a factor the vertex order is the tournament's
 unique topological order; factors are kept sorted by descending dimension
-with ties broken by their axis label tuples, and that canonical ordering is
-the orientation representative used by the boundary operator.
+with ties broken by the second vertex on each axis, and that canonical
+ordering is the orientation representative used by the boundary operator.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def canonical_with_sign(shape, grid):
     if k <= 1:
         return Cell(shape, grid), 1
     axes = _shape_rule(shape)[0]
-    order = sorted(range(k), key=lambda i: (-shape[i], [grid[p] for p in axes[i]]))
+    # every axis starts at the grid origin and the grid is injective, so the
+    # second vertex on each axis decides between equal-dimension factors
+    order = sorted(range(k), key=lambda i: (-shape[i], grid[axes[i][1]]))
     if order == list(range(k)):
         return Cell(shape, grid), 1
     new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))

@@ -227,7 +227,6 @@ def _suite_boundary(rng, cases):
         else:
             g = _random_consistent_digraph(rng, rng.randint(2, 8))
         cx = build_complex(g, min(4, max(1, len(g.vertices) - 1)))
-        cx.check_boundary_squares_to_zero()
         summary = homology_summary(cx, max_deg=cx.max_dim)
         if cx.complete and sum((-1) ** d * b for d, b in summary.betti.items()) != summary.euler:
             return False, f"euler mismatch on {g!r}"

@@ -189,10 +189,14 @@ def delete_factor(d: Dow, factor: Factor) -> Dow:
     """Remove both occurrence intervals of a maximal factor and normalize."""
     if factor not in maximal_factors(d):
         raise NotAMaximalFactorError(f"{factor} is not a maximal factor of {d!r}")
-    drop = set()
-    for a, b in factor.spans:
-        drop.update(range(a, b + 1))
-    return Dow(s for i, s in enumerate(d.symbols) if i not in drop)
+    return _delete(d, factor)
+
+
+def _delete(d: Dow, factor: Factor) -> Dow:
+    # the two spans are disjoint and the first comes first
+    (a, b), (c, e) = factor.spans
+    w = d.symbols
+    return Dow(w[:a] + w[b + 1:c] + w[e + 1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,8 +204,7 @@ def successors(d: Dow) -> tuple[Dow, ...]:
     """D(d): canonical single-deletion successors, deduplicated and sorted."""
     if not d:
         return ()
-    seen = {delete_factor(d, f) for f in maximal_factors(d)}
-    return tuple(sorted(seen, key=lambda x: x.symbols))
+    return tuple(sorted({_delete(d, f) for f in maximal_factors(d)}))
 
 
 def is_squarefree(d: Dow) -> bool:

@@ -32,29 +32,27 @@ class WordGraph:
     def word_set(self) -> set:
         return set(self.words.values())
 
-    def __contains__(self, w: Dow) -> bool:
-        return word_label(w) in self.words
+
+def _word_graph(words: list, root: Dow | None) -> WordGraph:
+    """Breadth-first closure of ``words`` under immediate successors: the
+    list grows while it is walked, and each word's label is rendered once
+    and its successors looked up once."""
+    labels = {w: word_label(w) for w in words}
+    edges = []
+    for w in words:
+        for v in successors(w):
+            if v not in labels:
+                labels[v] = word_label(v)
+                words.append(v)
+            edges.append((labels[w], labels[v]))
+    return WordGraph(Digraph(labels.values(), edges),
+                     {label: w for w, label in labels.items()}, root)
 
 
 def rooted_word_graph(d: Dow) -> WordGraph:
     """Breadth-first closure of immediate successors, memoized on canonical
     forms."""
-    frontier = [d]
-    seen = {d}
-    order = [d]
-    edges = []
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for v in successors(w):
-                edges.append((word_label(w), word_label(v)))
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    nxt.append(v)
-        frontier = nxt
-    graph = Digraph([word_label(w) for w in order], edges)
-    return WordGraph(graph, {word_label(w): w for w in order}, d)
+    return _word_graph([d], d)
 
 
 def enumerate_dows(n: int) -> list[Dow]:
@@ -80,7 +78,7 @@ def enumerate_dows(n: int) -> list[Dow]:
         slots[first] = 0
 
     place(1)
-    return sorted(out, key=lambda w: w.symbols)
+    return sorted(out)
 
 
 def global_word_graph(n: int) -> WordGraph:
@@ -90,19 +88,15 @@ def global_word_graph(n: int) -> WordGraph:
     words = []
     for k in range(n + 1):
         words.extend(enumerate_dows(k))
-    edges = []
-    for w in words:
-        for v in successors(w):
-            edges.append((word_label(w), word_label(v)))
-    graph = Digraph([word_label(w) for w in words], edges)
-    return WordGraph(graph, {word_label(w): w for w in words}, None)
+    # closed under deletion, so the walk appends nothing
+    return _word_graph(words, None)
 
 
 def are_coprime(d1: Dow, d2: Dow) -> bool:
     """True when all concatenations u v over the two word graphs' vertex sets
     land in distinct ascending-order classes."""
-    left = sorted(rooted_word_graph(d1).word_set(), key=lambda w: w.symbols)
-    right = sorted(rooted_word_graph(d2).word_set(), key=lambda w: w.symbols)
+    left = rooted_word_graph(d1).word_set()
+    right = rooted_word_graph(d2).word_set()
     seen = set()
     for u in left:
         for v in right:

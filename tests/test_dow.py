@@ -8,10 +8,12 @@ from prodsim import (
     AlphabetCollisionError,
     Dow,
     EmptyWordError,
+    Factor,
     NotAMaximalFactorError,
     NotDoubleOccurrenceError,
     concat,
     delete_factor,
+    enumerate_dows,
     format_word,
     insert_between,
     is_squarefree,
@@ -147,6 +149,9 @@ class TestDeletion:
         stray = maximal_factors(dow("1221"))[0]
         with pytest.raises(NotAMaximalFactorError):
             delete_factor(w, stray)
+        shorter = Factor((1, 2), "repeat", ((0, 1), (3, 4)))  # inside 123123's factor 123
+        with pytest.raises(NotAMaximalFactorError):
+            delete_factor(dow("123123"), shorter)
 
     def test_length_accounting(self):
         rng = random.Random(5)
@@ -169,6 +174,13 @@ class TestSuccessors:
 
     def test_empty(self):
         assert successors(Dow()) == ()
+
+    def test_checked_deletion_oracle(self):
+        # successors deletes unchecked; the public delete_factor checks first
+        for size in range(1, 6):
+            for w in enumerate_dows(size):
+                expected = tuple(sorted({delete_factor(w, f) for f in maximal_factors(w)}))
+                assert successors(w) == expected, w
 
     def test_reverse_duality(self):
         rng = random.Random(13)

@@ -43,6 +43,7 @@ GOLDEN = {
     "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
     "kernel_bases": "13d66aeec24bac6cc8afa31ec1741a272dc26090d0cc6bae240d2cad30593bfb",
+    "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
     "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
 }
 
@@ -165,6 +166,27 @@ def kernel_bases_digest():
     return _digest(chunks)
 
 
+def _word_graphs():
+    for size in range(5):
+        for w in enumerate_dows(size):
+            yield w.text(), rooted_word_graph(w)
+    rng = random.Random(0)
+    for _ in range(40):
+        w = _random_dow(rng, 6)
+        yield w.text(), rooted_word_graph(w)
+    for n in range(2, 10):
+        yield f"tangled {n}", rooted_word_graph(tangled_cord(n))
+    for n in range(4):
+        yield f"global {n}", global_word_graph(n)
+
+
+def word_graphs_digest():
+    # the vertex order and the words order, which complex_to_json sorts away
+    return _digest(f"{label}\n{wg.graph.vertices!r}\n{wg.graph.sorted_edges()!r}\n"
+                   f"{list(wg.words)!r}\n{wg.root!r}"
+                   for label, wg in _word_graphs())
+
+
 def cli_digest(capsys):
     chunks = []
     for argv in CLI_COMMANDS:
@@ -182,6 +204,11 @@ def test_complex_json_digest(group):
 def test_kernel_bases_digest():
     got = kernel_bases_digest()
     assert got == GOLDEN["kernel_bases"], f"golden group 'kernel_bases' changed: {got}"
+
+
+def test_word_graphs_digest():
+    got = word_graphs_digest()
+    assert got == GOLDEN["word_graphs"], f"golden group 'word_graphs' changed: {got}"
 
 
 def test_cli_stdout_digest(capsys):

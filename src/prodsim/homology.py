@@ -3,7 +3,10 @@
 Betti numbers and torsion coefficients come from Smith normal forms of the
 boundary matrices, computed over arbitrary-precision integers: intermediate
 entries overflow 64 bits on the larger word-graph complexes, so machine
-integers are never used.
+integers are never used.  `homology_summary` takes the degrees in ascending
+order and clears across them: the columns of each degree's +-1 pivots are
+cells of the next degree's row space, and those rows are left out of the
+next Smith form, which keeps every invariant factor (see `snf`).
 """
 
 from __future__ import annotations
@@ -39,16 +42,31 @@ def _pick_pivot(rows):
     return best[1], best[2]
 
 
-def snf(m: IntMatrix) -> SnfResult:
+def snf(m: IntMatrix, *, cleared=(), paired=None) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
     remainder is diagonalized with minimum-absolute-value pivoting to limit
     coefficient growth, and its diagonal is folded into a divisibility chain
     with one gcd/lcm pass per non-unit entry.
+
+    For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
+    +-1 pivots that `_unit_pass` found in d_n; those rows of m are left out
+    and the result is unchanged.  When `paired` is a set, the columns of
+    this matrix's +-1 pivots are added to it.
     """
-    rows = _rows(m)
-    units = _unit_pass(rows)
+    # Clearing (Chen-Kerber's twist, exact over Z for +-1 pivots): the unit
+    # pass on d_n eliminated pivots in rows R and columns P, so A = d_n[R, P]
+    # is unimodular (det = +-product of the pivots = +-1).  On ker d_n the P
+    # coordinates are fixed by the rest, z_P = -A^-1 B z_Q, so dropping them
+    # is injective on ker d_n and its image, the kernel of an integer matrix,
+    # is saturated.  im d_{n+1} lies in ker d_n, so d_{n+1} without rows P
+    # has the same rank and the same invariant factors.
+    rows = _rows(m, cleared)
+    pivots = _unit_pass(rows)
+    if paired is not None:
+        paired.update(pivots)
+    units = len(pivots)
     res, _ = _snf(rows, None)
     return SnfResult((1,) * units + res.invariant_factors, units + res.rank)
 
@@ -61,9 +79,9 @@ def kernel_basis(m: IntMatrix):
     return [dict(sorted(qcols[c].items())) for c in range(m.ncols) if c not in pivot_cols]
 
 
-def _rows(m: IntMatrix):
+def _rows(m: IntMatrix, cleared=()):
     # a copy: the eliminations work in place, and the matrix stays cached
-    return {r: dict(row) for r, row in m.rows.items()}
+    return {r: dict(row) for r, row in m.rows.items() if r not in cleared}
 
 
 def _unit_pass(rows):
@@ -73,7 +91,8 @@ def _unit_pass(rows):
     the pivot is the shortest row holding a +-1.  Clearing the pivot column
     with row operations and dropping the pivot row and column is a unimodular
     Schur step, so the rank and the invariant factors are kept.  Returns the
-    number of unit pivots; `rows` is left holding the non-unit remainder.
+    pivot columns in elimination order; `rows` is left holding the non-unit
+    remainder.
     """
     # column index: append-only row lists, compacted when the column is
     # popped; a column whose length went stale goes back on the heap
@@ -83,7 +102,7 @@ def _unit_pass(rows):
             cols.setdefault(c, []).append(r)
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         n, c = heapq.heappop(heap)
         live = [r for r in dict.fromkeys(cols[c]) if c in rows.get(r, ())]
@@ -119,8 +138,8 @@ def _unit_pass(rows):
                     cols[k].append(r)
             if not row:
                 del rows[r]
-        units += 1
-    return units
+        pivots.append(c)
+    return pivots
 
 
 def _quotient(e, v):
@@ -263,7 +282,14 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySu
         max_deg = max(cx.max_dim - 1, 0)
     counts = cx.counts()
     top = cx.top_dim()
-    snfs = {n: snf(cx.boundary_matrix(n)) for n in range(1, min(max_deg + 1, top) + 1)}
+    snfs = {}
+    cleared = ()
+    for n in range(1, min(max_deg + 1, top) + 1):
+        # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
+        # each set is freed once the next degree has used it
+        paired = set()
+        snfs[n] = snf(cx.boundary_matrix(n), cleared=cleared, paired=paired)
+        cleared = paired
     cx.check_boundary_squares_to_zero()
 
     def rank_of(n):

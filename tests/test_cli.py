@@ -199,6 +199,23 @@ class TestVerify:
         assert out.splitlines() == ["suite failing: FAIL (injected failure)",
                                     "suite snf: SKIPPED (budget exceeded)"]
 
+    def test_boundary_not_squaring_to_zero_fails(self, capsys, monkeypatch):
+        from prodsim import cells
+        facets = cells.facets
+
+        def flipped(cell):
+            (fac, sign), *rest = facets(cell)
+            return [(fac, -sign), *rest]
+
+        monkeypatch.setattr(cells, "facets", flipped)
+        code, out, _ = run(capsys, "verify", "--suite", "snf", "--suite", "boundary",
+                           "--cases", "15")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("suite snf: PASS")
+        assert lines[1].startswith("suite boundary: FAIL (d.d != 0 on ")
+        assert len(lines) == 2
+
 
 class TestNumericFlags:
     @pytest.mark.parametrize("argv", [["table", "4"], ["homology", "rooted", "1212"],

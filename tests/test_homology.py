@@ -12,6 +12,7 @@ from prodsim import (
     IntMatrix,
     build_complex,
     cartesian_product,
+    enumerate_dows,
     global_word_graph,
     glue_at_vertex,
     homology_summary,
@@ -157,6 +158,32 @@ class TestSnf:
         monkeypatch.setattr(homology, "_pick_pivot", no_search)
         cx = build_complex(rooted_word_graph(tangled_cord(9)).graph, 3)
         assert [snf(cx.boundary_matrix(n)).rank for n in (1, 2, 3)] == [88, 250, 317]
+
+
+def test_clearing_keeps_every_smith_form(monkeypatch):
+    # homology_summary leaves out the rows of d_{n+1} that d_n's +-1 pivots
+    # paired; every cleared Smith form must equal the plain one of the same
+    # boundary matrix
+    from prodsim import homology
+    plain = homology.snf
+    cleared_rows = []
+
+    def checked(m, **clearing):
+        res = plain(m, **clearing)
+        assert res == plain(m)
+        cleared_rows.append(len(clearing["cleared"]))
+        return res
+
+    monkeypatch.setattr(homology, "snf", checked)
+    rng = random.Random(20261018)
+    corpus = [(rooted_word_graph(tangled_cord(n)).graph, 3) for n in range(2, 12)]
+    corpus += [(rooted_word_graph(w).graph, 3) for size in range(5) for w in enumerate_dows(size)]
+    corpus += [(_random_consistent_digraph(rng, rng.randint(3, 8)), 5) for _ in range(40)]
+    corpus += [(global_word_graph(n).graph, 3) for n in (3, 4)]
+    for g, max_dim in corpus:
+        cx = build_complex(g, max_dim)
+        homology_summary(cx, max_deg=cx.top_dim())
+    assert sum(cleared_rows) > 0
 
 
 class TestRationalRank:
@@ -361,3 +388,14 @@ def test_cartesian_product_obeys_kunneth():
                 (n, sorted(g.edges), sorted(h.edges))
         nontrivial += any(hp[n] != (n == 0, []) for n in hp)
     assert nontrivial >= 10
+
+
+def test_torsion_transfers_through_a_product():
+    # T10's Z/2 in H2 meets the pentagon's H0 and H1: Kuenneth puts Z/2 in
+    # H2 and H3 of the product, so torsion passes two cleared degrees
+    pentagon = Digraph("abcde", [("a", "b"), ("b", "c"), ("c", "e"), ("a", "d"), ("d", "e")])
+    g = cartesian_product(rooted_word_graph(tangled_cord(10)).graph, pentagon)
+    assert len(g.vertices) == 720
+    s = homology_summary(build_complex(g, 4))
+    assert s.betti == {0: 1, 1: 2, 2: 127, 3: 218}
+    assert s.torsion == {0: [], 1: [], 2: [2], 3: [2]}

@@ -229,6 +229,7 @@ class ChainComplex:
         self.cells = cells
         self.index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cells.items()}
         self._matrices = {}
+        self.boundary_checked = False
         top = max(d for d in cells)
         self.complete = not cells.get(top)
         if not self.complete:
@@ -266,11 +267,20 @@ class ChainComplex:
 
     def check_boundary_squares_to_zero(self):
         """Raise InconsistentComplexError when some product of consecutive
-        boundary matrices is nonzero."""
+        boundary matrices is nonzero.
+
+        Cells and matrices never change after construction, so one pass per
+        complex is enough, and it covers every face-closed prefix too: there
+        the product of the restricted d_{n-1} and d_n is a submatrix of the
+        full product, since no facet of a kept n-cell falls outside the cut.
+        """
+        if self.boundary_checked:
+            return
         for n in range(2, self.top_dim() + 1):
             if self.cells.get(n) and not self.boundary_matrix(n - 1).matmul(
                     self.boundary_matrix(n)).is_zero():
                 raise InconsistentComplexError(f"d_{n - 1} o d_{n} != 0")
+        self.boundary_checked = True
 
 
 def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:

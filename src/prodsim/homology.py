@@ -42,7 +42,7 @@ def _pick_pivot(rows):
     return best[1], best[2]
 
 
-def snf(m: IntMatrix, *, cleared=(), paired=None) -> SnfResult:
+def snf(m: IntMatrix, *, cleared=(), paired=None, prefix=None) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
@@ -54,6 +54,14 @@ def snf(m: IntMatrix, *, cleared=(), paired=None) -> SnfResult:
     +-1 pivots that `_unit_pass` found in d_n; those rows of m are left out
     and the result is unchanged.  When `paired` is a set, the columns of
     this matrix's +-1 pivots are added to it.
+
+    ``prefix=(rows, cols)`` takes the Smith form of the leading rows x cols
+    block of m instead, without building that block as a matrix.  For a
+    boundary matrix the block is the boundary of a subcomplex only when the
+    leading cells are face-closed: every facet of the first ``cols`` cells
+    lies among the first ``rows``, so no column of the block loses a nonzero
+    to the cut and the block still squares to zero with its neighbours,
+    which clearing relies on.
     """
     # Clearing (Chen-Kerber's twist, exact over Z for +-1 pivots): the unit
     # pass on d_n eliminated pivots in rows R and columns P, so A = d_n[R, P]
@@ -62,7 +70,7 @@ def snf(m: IntMatrix, *, cleared=(), paired=None) -> SnfResult:
     # is injective on ker d_n and its image, the kernel of an integer matrix,
     # is saturated.  im d_{n+1} lies in ker d_n, so d_{n+1} without rows P
     # has the same rank and the same invariant factors.
-    rows = _rows(m, cleared)
+    rows = _rows(m, cleared, prefix)
     pivots = _unit_pass(rows)
     if paired is not None:
         paired.update(pivots)
@@ -79,9 +87,18 @@ def kernel_basis(m: IntMatrix):
     return [dict(sorted(qcols[c].items())) for c in range(m.ncols) if c not in pivot_cols]
 
 
-def _rows(m: IntMatrix, cleared=()):
+def _rows(m: IntMatrix, cleared=(), prefix=None):
     # a copy: the eliminations work in place, and the matrix stays cached
-    return {r: dict(row) for r, row in m.rows.items() if r not in cleared}
+    if prefix is None:
+        return {r: dict(row) for r, row in m.rows.items() if r not in cleared}
+    nrows, ncols = prefix
+    out = {}
+    for r in range(nrows):
+        if r in m.rows and r not in cleared:
+            row = {c: v for c, v in m.rows[r].items() if c < ncols}
+            if row:
+                out[r] = row
+    return out
 
 
 def _unit_pass(rows):
@@ -270,25 +287,36 @@ class HomologySummary:
         return obj
 
 
-def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySummary:
+def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
+                     counts=None) -> HomologySummary:
     """Betti numbers and torsion for degrees 0..max_deg.
 
     beta_n = c_n - rank(d_n) - rank(d_{n+1}); torsion in degree n is the list
     of invariant factors of d_{n+1} exceeding 1.  Degrees whose exactness
     would need cells above the built dimension cap are flagged as truncated
     rather than silently reported.
+
+    ``counts``, a {dimension: k} map, restricts the summary to the first k
+    cells of each dimension, which must form a subcomplex: the facets of
+    every kept cell are kept too (see `snf`'s ``prefix``).  Ranks and
+    invariant factors do not depend on the order of rows and columns, so
+    the result is exact over Z, torsion included; cell counts and the Euler
+    characteristic are the prefix's.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
-    counts = cx.counts()
-    top = cx.top_dim()
+    prefix = counts is not None
+    if not prefix:
+        counts = cx.counts()
+    top = max((d for d, c in counts.items() if c), default=0)
     snfs = {}
     cleared = ()
     for n in range(1, min(max_deg + 1, top) + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
         paired = set()
-        snfs[n] = snf(cx.boundary_matrix(n), cleared=cleared, paired=paired)
+        snfs[n] = snf(cx.boundary_matrix(n), cleared=cleared, paired=paired,
+                      prefix=(counts[n - 1], counts[n]) if prefix else None)
         cleared = paired
     cx.check_boundary_squares_to_zero()
 

@@ -41,8 +41,9 @@ class IntMatrix:
 
     def to_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                rows[r][c] = v
         return rows
 
     def triplets(self):
@@ -70,4 +71,4 @@ class IntMatrix:
                 and self.ncols == other.ncols and self.rows == other.rows)
 
     def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzeros)"
+        return f"IntMatrix({self.nrows}x{self.ncols}, {sum(map(len, self.rows.values()))} nonzeros)"

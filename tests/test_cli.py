@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from prodsim import cli
+from prodsim import Digraph, cli, rooted_word_graph, tangled_cord, word_label
 from prodsim.cli import main
+from test_acceptance import TANGLED_REFERENCE
 
 
 def run(capsys, *argv):
@@ -146,6 +147,50 @@ class TestTable:
         assert code == 0
         assert "computing tangled cord n=9" in err
         assert "computing" not in out
+
+    def test_budget_between_rows_keeps_finished_rows(self, capsys, monkeypatch):
+        check = cli._Budget.check
+
+        def expiring(self, label):
+            if label == "before row n=4":
+                raise cli.BudgetExceeded(label)
+            check(self, label)
+
+        monkeypatch.setattr(cli._Budget, "check", expiring)
+        code, out, _ = run(capsys, "table", "6")
+        assert code == 3
+        assert out.splitlines() == [
+            "n\tword\tbeta1\tbeta2\tvertices",
+            "2\t1,2,1,2\t0\t0\t2",
+            "3\t1,2,1,3,2,3\t1\t0\t5",
+            "# budget exceeded; rows n>=4 omitted",
+        ]
+
+    def test_budget_before_the_complex_omits_every_row(self, capsys):
+        code, out, _ = run(capsys, "table", "6", "--budget", "0")
+        assert code == 3
+        assert out.splitlines()[1:] == ["# budget exceeded; rows n>=2 omitted"]
+
+    def test_every_tangled_cord_is_born_in_the_largest_graph(self):
+        # the rows nest: T_n lies in G_14 for n = 2..14, and the vertices
+        # born by n are G_n, F(n+2) of them (2 at n = 2)
+        g = rooted_word_graph(tangled_cord(14)).graph
+        birth = cli._tangled_births(g, 14)
+        fib = [0, 1]
+        while len(fib) < 17:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(2, 15):
+            assert word_label(tangled_cord(n)) in g
+            born = sum(1 for b in birth.values() if b <= n)
+            assert born == (2 if n == 2 else fib[n + 2]) == TANGLED_REFERENCE[n][2]
+        assert len(birth) == len(g.vertices)
+
+    def test_births_need_nested_cords(self):
+        t2, t3 = (word_label(tangled_cord(n)) for n in (2, 3))
+        with pytest.raises(ValueError, match="n=4 is missing"):
+            cli._tangled_births(rooted_word_graph(tangled_cord(3)).graph, 4)
+        with pytest.raises(ValueError, match="n=2 is not a successor of n=3"):
+            cli._tangled_births(Digraph([t2, t3], []), 3)
 
     def test_homology_budget(self, capsys):
         code, out, _ = run(capsys, "homology", "rooted", "1212", "--budget", "0")

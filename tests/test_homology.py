@@ -27,7 +27,13 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
-from prodsim.cli import _random_consistent_digraph, _random_matrix
+from prodsim.cli import (
+    _birth_ordered,
+    _born_by,
+    _random_consistent_digraph,
+    _random_matrix,
+    _tangled_births,
+)
 from prodsim.digraph import longest_path_length
 from prodsim.homology import _rows, _snf
 
@@ -399,3 +405,43 @@ def test_torsion_transfers_through_a_product():
     s = homology_summary(build_complex(g, 4))
     assert s.betti == {0: 1, 1: 2, 2: 127, 3: 218}
     assert s.torsion == {0: [], 1: [], 2: [2], 3: [2]}
+
+
+def test_tangled_prefixes_match_per_n_complexes():
+    # one birth-ordered complex of G_12; the cells born by n are G_n's
+    # complex, so every prefix summary (betti, torsion, euler, cell counts)
+    # is the per-n summary
+    g = rooted_word_graph(tangled_cord(12)).graph
+    cx, births = _birth_ordered(build_complex(g, 3), _tangled_births(g, 12))
+    for n in range(2, 13):
+        prefix = homology_summary(cx, counts=_born_by(births, n))
+        per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
+        assert prefix == per_n, n
+        assert prefix.torsion[2] == ([2] if n >= 10 else []), n
+
+
+def test_prefix_snf_leaves_the_matrix_alone():
+    # a prefix is read off the cached matrix, which stays whole
+    m = IntMatrix.from_rows([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
+    before = dict(m.entries)
+    assert snf(m, prefix=(2, 2)).invariant_factors == (1, 2)
+    assert snf(m, prefix=(1, 3)).rank == 1
+    assert snf(m, prefix=(0, 3)).rank == 0
+    assert m.entries == before
+
+
+def test_boundary_check_runs_once_per_complex(monkeypatch):
+    cx = build_complex(rooted_word_graph(tangled_cord(6)).graph, 3)
+    assert not cx.boundary_checked
+    calls = []
+    matmul = IntMatrix.matmul
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "matmul", counted)
+    first = homology_summary(cx)
+    assert cx.boundary_checked and len(calls) == cx.top_dim() - 1 > 0
+    assert homology_summary(cx) == first
+    assert len(calls) == cx.top_dim() - 1

@@ -48,9 +48,7 @@ from .dow import (
 from .homology import (
     HomologySummary,
     SnfResult,
-    cycle_basis,
     homology_summary,
-    kernel_basis,
     rational_rank,
     snf,
 )

@@ -432,7 +432,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         kind = type(exc).__name__
         print(f"error: {kind}: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ entries overflow 64 bits on the larger word-graph complexes, so machine
 integers are never used.  `homology_summary` takes the degrees in ascending
 order and clears across them: the columns of each degree's +-1 pivots are
 cells of the next degree's row space, and those rows are left out of the
-next Smith form, which keeps every invariant factor (see `snf`).
+next Smith form, which keeps every invariant factor (see `snf`).  Every
+Smith form is taken by one path, on a leading block of the matrix, the whole
+matrix being the largest block.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ from .matrices import IntMatrix
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d1 | d2 | ... | dr and the rank r."""
+    """Invariant factors d1 | d2 | ... | dr; their number r is the rank."""
 
     invariant_factors: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
 
 def _pick_pivot(rows):
@@ -55,13 +60,14 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, prefix=None) -> SnfResult:
     and the result is unchanged.  When `paired` is a set, the columns of
     this matrix's +-1 pivots are added to it.
 
-    ``prefix=(rows, cols)`` takes the Smith form of the leading rows x cols
-    block of m instead, without building that block as a matrix.  For a
-    boundary matrix the block is the boundary of a subcomplex only when the
-    leading cells are face-closed: every facet of the first ``cols`` cells
-    lies among the first ``rows``, so no column of the block loses a nonzero
-    to the cut and the block still squares to zero with its neighbours,
-    which clearing relies on.
+    ``prefix=(rows, cols)``, by default the whole shape, takes the Smith
+    form of the leading rows x cols block of m without building that block
+    as a matrix; the whole matrix is just the largest block, so there is one
+    path.  For a boundary matrix the block is the boundary of a subcomplex
+    only when the leading cells are face-closed: every facet of the first
+    ``cols`` cells lies among the first ``rows``, so no column of the block
+    loses a nonzero to the cut and the block still squares to zero with its
+    neighbours, which clearing relies on.
     """
     # Clearing (Chen-Kerber's twist, exact over Z for +-1 pivots): the unit
     # pass on d_n eliminated pivots in rows R and columns P, so A = d_n[R, P]
@@ -74,24 +80,13 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, prefix=None) -> SnfResult:
     pivots = _unit_pass(rows)
     if paired is not None:
         paired.update(pivots)
-    units = len(pivots)
-    res, _ = _snf(rows, None)
-    return SnfResult((1,) * units + res.invariant_factors, units + res.rank)
-
-
-def kernel_basis(m: IntMatrix):
-    """An integer basis of ker(m), one {column_index: coefficient} dict per
-    basis vector, obtained from the column transform of the diagonalization."""
-    qcols = {c: {c: 1} for c in range(m.ncols)}
-    _, pivot_cols = _snf(_rows(m), qcols)
-    return [dict(sorted(qcols[c].items())) for c in range(m.ncols) if c not in pivot_cols]
+    return SnfResult((1,) * len(pivots) + _snf(rows).invariant_factors)
 
 
 def _rows(m: IntMatrix, cleared=(), prefix=None):
-    # a copy: the eliminations work in place, and the matrix stays cached
-    if prefix is None:
-        return {r: dict(row) for r, row in m.rows.items() if r not in cleared}
-    nrows, ncols = prefix
+    # a copy of the leading block: the eliminations work in place, and the
+    # matrix stays cached
+    nrows, ncols = prefix or (m.nrows, m.ncols)
     out = {}
     for r in range(nrows):
         if r in m.rows and r not in cleared:
@@ -177,9 +172,8 @@ def _sub(target, source, q):
             del target[k]
 
 
-def _snf(rows, qcols):
+def _snf(rows) -> SnfResult:
     diag = []
-    pivot_cols = set()
     while rows:
         r, c = _pick_pivot(rows)
         while True:
@@ -205,15 +199,12 @@ def _snf(rows, qcols):
                     heapq.heappush(pending, r)
                     r = r2
             # column c now holds only the pivot, so a column operation
-            # changes just the pivot row (and the column transform)
+            # changes just the pivot row
             for c2 in sorted(row):
                 if c2 == c:
                     continue
                 e = row[c2]
-                q = _quotient(e, v)
-                if qcols is not None:
-                    _sub(qcols[c2], qcols[c], q)
-                rem = e - q * v
+                rem = e - _quotient(e, v) * v
                 if rem:
                     row[c2] = rem
                     c = c2  # remainder is a smaller pivot
@@ -222,7 +213,6 @@ def _snf(rows, qcols):
             else:
                 break
         diag.append(v)
-        pivot_cols.add(c)
         del rows[r]
 
     units = diag.count(1)
@@ -234,8 +224,7 @@ def _snf(rows, qcols):
                 g = math.gcd(a, d)
                 vals[i], d = g, a * d // g
             vals.append(d)
-    chain = [1] * units + vals
-    return SnfResult(tuple(chain), len(chain)), pivot_cols
+    return SnfResult((1,) * units + tuple(vals))
 
 
 def rational_rank(m: IntMatrix) -> int:
@@ -296,17 +285,16 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
     would need cells above the built dimension cap are flagged as truncated
     rather than silently reported.
 
-    ``counts``, a {dimension: k} map, restricts the summary to the first k
-    cells of each dimension, which must form a subcomplex: the facets of
-    every kept cell are kept too (see `snf`'s ``prefix``).  Ranks and
-    invariant factors do not depend on the order of rows and columns, so
-    the result is exact over Z, torsion included; cell counts and the Euler
-    characteristic are the prefix's.
+    ``counts``, a {dimension: k} map defaulting to every cell, restricts the
+    summary to the first k cells of each dimension, which must form a
+    subcomplex: the facets of every kept cell are kept too (see `snf`'s
+    ``prefix``).  Ranks and invariant factors do not depend on the order of
+    rows and columns, so the result is exact over Z, torsion included; cell
+    counts and the Euler characteristic are the prefix's.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
-    prefix = counts is not None
-    if not prefix:
+    if counts is None:
         counts = cx.counts()
     top = max((d for d, c in counts.items() if c), default=0)
     snfs = {}
@@ -316,7 +304,7 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
         # each set is freed once the next degree has used it
         paired = set()
         snfs[n] = snf(cx.boundary_matrix(n), cleared=cleared, paired=paired,
-                      prefix=(counts[n - 1], counts[n]) if prefix else None)
+                      prefix=(counts[n - 1], counts[n]))
         cleared = paired
     cx.check_boundary_squares_to_zero()
 
@@ -335,18 +323,3 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
             truncated.append(n)
     euler = sum((-1) ** d * c for d, c in counts.items())
     return HomologySummary(betti, torsion, euler, counts, tuple(truncated))
-
-
-def cycle_basis(cx: ChainComplex, n: int):
-    """A basis of the n-cycle group as signed cell combinations.
-
-    No minimality is claimed: the vectors span ker(d_n) over the integers but
-    need not be short or geometrically tidy.
-    """
-    cells = cx.cells.get(n, [])
-    if n == 0:
-        return [[(c, 1)] for c in cells]
-    if not cells:
-        return []
-    basis = kernel_basis(cx.boundary_matrix(n))
-    return [[(cells[i], v) for i, v in vec.items()] for vec in basis]

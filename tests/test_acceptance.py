@@ -109,16 +109,45 @@ def test_criterion_2b_tangled_vertex_counts_are_fibonacci():
            f"counts {sorted(counts.values())}")
 
 
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    if not os.path.exists(path):
+        pytest.skip(f"no perfbench/{name}.py in this checkout")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_table_matches_reference():
     # the benchmark gates its table rows on its own copy of this table
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    if not os.path.exists(path):
-        pytest.skip("no perfbench/workloads.py in this checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module("workloads")
     for n, row in workloads.TANGLED_REFERENCE.items():
         assert row == TANGLED_REFERENCE[n], n
+
+
+def test_benchmark_tracer_hooks_still_fit(monkeypatch, capsys):
+    # the benchmark's tracer rebinds prodsim's layer entry points and reads
+    # each Smith form's degree and rank; an API change that breaks a hook
+    # fails here instead of in a benchmark run
+    tracing = _perfbench_module("tracing")
+    from prodsim import cells, cli, homology, wordgraph
+
+    # register every attribute the tracer could rebind, so teardown puts
+    # back the original even where install() replaced it
+    for target in (cells, cli, homology, wordgraph, cells.ChainComplex):
+        for attr, value in list(vars(target).items()):
+            if not attr.startswith("__"):
+                monkeypatch.setattr(target, attr, value)
+    tracer = tracing.Tracer("tier1")
+    tracer.install()
+    assert cli.main(["table", "6"]) == 0
+    capsys.readouterr()
+    spans = [s for s in tracer.spans if s["name"] == "homology.snf"]
+    assert spans
+    assert all(s["deg"] in tracing.DEGREES and s["rank"] >= 0 for s in spans), spans
+    metrics, _ = tracing.layer_metrics(tracer.spans, 1.0, (0, 0))
+    assert set(metrics) == set(tracing.LAYER_UNITS)
 
 
 def test_criterion_3_torsion_probe_t10():

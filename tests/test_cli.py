@@ -36,6 +36,22 @@ class TestNormalize:
         assert code == 0 and out == ""
         assert target.read_text() == "1212\n"
 
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        # an unwritable --output is bad input: one error line, exit 2
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "normalize", "11", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: FileNotFoundError") and "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_broken_pipe_still_exits_0(self, capsys, monkeypatch):
+        # BrokenPipeError is an OSError, but a closed reader is not an error
+        def closed(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_normalize", closed)
+        assert run(capsys, "normalize", "11") == (0, "", "")
+
 
 class TestSuccessors:
     def test_worked_example(self, capsys):

@@ -1,11 +1,10 @@
 """Golden digests: complexes and CLI output must stay byte-identical.
 
 Each group hashes the exact text the program produced for a fixed corpus,
-so a refactor of cell detection, orientation, sorting, boundary assembly or
-the Smith elimination behind cycle bases that changes any byte of any output
-fails here and names the group.  The digests are SHA-256 of the group's
-text; regenerate them only for an intended change of output, and say so in
-the change log.
+so a refactor of cell detection, orientation, sorting or boundary assembly
+that changes any byte of any output fails here and names the group.  The
+digests are SHA-256 of the group's text; regenerate them only for an
+intended change of output, and say so in the change log.
 """
 
 import hashlib
@@ -17,10 +16,8 @@ from prodsim import (
     Digraph,
     build_complex,
     cartesian_product,
-    cycle_basis,
     enumerate_dows,
     global_word_graph,
-    kernel_basis,
     lantern,
     mixed,
     multiloop,
@@ -32,7 +29,7 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import complex_to_json
-from prodsim.cli import _random_dow, _random_matrix, main
+from prodsim.cli import _random_dow, main
 
 GOLDEN = {
     "constructions": "8cbd3c1dd1ffb9f10ddfb62f3f276f740e26df8a591f38530dae1e265475657d",
@@ -42,7 +39,6 @@ GOLDEN = {
     "global_3": "7be622b7602b8a40f298b392cada14950d05638a9ab88d101bb68fe6f8999ec4",
     "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
-    "kernel_bases": "13d66aeec24bac6cc8afa31ec1741a272dc26090d0cc6bae240d2cad30593bfb",
     "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
     "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
 }
@@ -149,23 +145,6 @@ def graph_group_digest(name):
                    for label, g in GRAPH_GROUPS[name]())
 
 
-def kernel_bases_digest():
-    # cycle bases come from the column transform of the Smith elimination;
-    # tangled 10 reaches its Z/2 torsion through non-unit pivots in d3
-    chunks = []
-    graphs = list(_constructions())
-    graphs += [(f"tangled {n}", rooted_word_graph(tangled_cord(n)).graph) for n in range(2, 11)]
-    for label, g in graphs:
-        cx = build_complex(g, 3)
-        for d in range(1, 4):
-            chunks.append(f"{label} d{d}\n{cycle_basis(cx, d)!r}")
-    rng = random.Random(7)
-    for i in range(60):
-        m = _random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), rng.choice((3, 10, 40)))
-        chunks.append(f"matrix {i} {sorted(m.entries.items())!r}\n{kernel_basis(m)!r}")
-    return _digest(chunks)
-
-
 def _word_graphs():
     for size in range(5):
         for w in enumerate_dows(size):
@@ -199,11 +178,6 @@ def cli_digest(capsys):
 def test_complex_json_digest(group):
     got = graph_group_digest(group)
     assert got == GOLDEN[group], f"golden group {group!r} changed: {got}"
-
-
-def test_kernel_bases_digest():
-    got = kernel_bases_digest()
-    assert got == GOLDEN["kernel_bases"], f"golden group 'kernel_bases' changed: {got}"
 
 
 def test_word_graphs_digest():

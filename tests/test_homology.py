@@ -138,7 +138,7 @@ class TestSnf:
                                             for r in range(nr) for c in range(nc)
                                             if rng.random() < density}))
         for m in cases:
-            assert snf(m) == _snf(_rows(m), None)[0], m.triplets()
+            assert snf(m) == _snf(_rows(m)), m.triplets()
 
     def test_unit_pass_matches_plain_smith_loop_on_word_graphs(self):
         graphs = [rooted_word_graph(tangled_cord(n)).graph for n in range(2, 12)]
@@ -149,7 +149,7 @@ class TestSnf:
             for n in range(1, cx.top_dim() + 1):
                 m = cx.boundary_matrix(n)
                 res = snf(m)
-                assert res == _snf(_rows(m), None)[0]
+                assert res == _snf(_rows(m))
                 torsion += [d for d in res.invariant_factors if d > 1]
         assert torsion == [2, 2]  # d3 of the tangled cords on 10 and 11 symbols
 
@@ -271,59 +271,6 @@ class TestHomologySummary:
         with pytest.raises(InconsistentComplexError):
             homology_summary(cx)
 
-    def test_cycle_basis_vectors_are_cycles(self):
-        from prodsim import cycle_basis
-        rng = random.Random(101)
-        graphs = [three_square_sphere(), path_square(), multiloop(3)]
-        for _ in range(10):
-            word = [s for s in range(1, rng.randint(1, 4) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            graphs.append(rooted_word_graph(Dow(word)).graph)
-        for g in graphs:
-            cx = build_complex(g, 3)
-            for n in (1, 2):
-                if not cx.cells.get(n):
-                    continue
-                boundary = cx.boundary_matrix(n)
-                index = cx.index[n]
-                basis = cycle_basis(cx, n)
-                expected = len(cx.cells[n]) - snf(boundary).rank
-                assert len(basis) == expected
-                for vec in basis:
-                    image = {}
-                    for cell, coeff in vec:
-                        j = index[cell]
-                        for (r, c), v in boundary.entries.items():
-                            if c == j:
-                                image[r] = image.get(r, 0) + coeff * v
-                    assert all(v == 0 for v in image.values())
-
-    def test_kernel_basis_spans_full_rank(self):
-        from prodsim import kernel_basis
-        m = IntMatrix.from_rows([[1, 1, 0], [0, 0, 0]])
-        basis = kernel_basis(m)
-        assert len(basis) == 2
-        rows = [[vec.get(i, 0) for vec in basis] for i in range(3)]
-        assert rational_rank(IntMatrix.from_rows(rows)) == 2
-
-    def test_kernel_basis_is_an_integer_basis(self):
-        # the basis must span ker(m) over Z, not just over Q: stacked, its
-        # vectors have every invariant factor 1
-        from prodsim import kernel_basis
-        rng = random.Random(113)
-        for _ in range(150):
-            nc = rng.randint(1, 5)
-            m = _random_matrix(rng, rng.randint(1, 6), nc, rng.choice((2, 10)))
-            basis = kernel_basis(m)
-            assert len(basis) == nc - rational_rank(m)
-            rows = m.to_rows()
-            for vec in basis:
-                assert all(sum(row[i] * v for i, v in vec.items()) == 0 for row in rows)
-            if basis:
-                stacked = IntMatrix.from_rows([[vec.get(i, 0) for i in range(nc)]
-                                               for vec in basis])
-                assert minor_gcd_invariant_factors(stacked) == (1,) * len(basis)
-
     def test_truncation_flagged(self):
         vs = [f"v{i}" for i in range(4)]
         g = Digraph(vs, [(vs[i], vs[j]) for i in range(4) for j in range(i + 1, 4)])
@@ -428,6 +375,35 @@ def test_prefix_snf_leaves_the_matrix_alone():
     assert snf(m, prefix=(1, 3)).rank == 1
     assert snf(m, prefix=(0, 3)).rank == 0
     assert m.entries == before
+
+
+def test_prefix_snf_is_the_snf_of_the_leading_block():
+    # the prefix loop against the block built explicitly, on any block of a
+    # small random matrix; the whole shape is the default
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def matrix_and_block(draw):
+        nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        value = st.one_of(st.just(0), st.integers(-6, 6))
+        rows = draw(st.lists(st.lists(value, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+        m = IntMatrix(nr, nc, {(i, j): v for i, row in enumerate(rows)
+                               for j, v in enumerate(row)})
+        return m, draw(st.integers(0, nr)), draw(st.integers(0, nc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_and_block())
+    def check(case):
+        m, r, c = case
+        block = IntMatrix(r, c, {(i, j): v for (i, j), v in m.entries.items()
+                                 if i < r and j < c})
+        assert snf(m, prefix=(r, c)) == snf(block)
+        assert snf(m, prefix=(m.nrows, m.ncols)) == snf(m)
+
+    check()
 
 
 def test_boundary_check_runs_once_per_complex(monkeypatch):

@@ -48,6 +48,7 @@ from .dow import (
 from .homology import (
     HomologySummary,
     SnfResult,
+    homology_summaries,
     homology_summary,
     rational_rank,
     snf,

@@ -51,7 +51,8 @@ def _shape_rule(shape):
     facet keeps, its sub-shape, with a one-vertex factor absorbed and the
     rest stably sorted by descending dimension, and its sign: (-1)^(alpha+j),
     alpha the dimensions before factor i, times the parity of that sort.
-    The label order of equal-dimension factors is left to the cell.
+    When the sub-shape repeats a dimension, the label order of those factors
+    is the cell's to settle, and the rule adds their `_Ties`.
     """
     axes, stride = (), 1
     for n in reversed(shape):
@@ -62,11 +63,60 @@ def _shape_rule(shape):
         dims = shape[:i] + (n - 1,) + shape[i + 1:]
         order = sorted(range(len(shape)), key=lambda a: -dims[a])
         sign = (-1) ** sum(shape[:i]) * _block_sign(dims, order)
+        sub = tuple(dims[a] for a in order if dims[a])
+        tied = tuple(f for f, d in enumerate(sub) if sub.count(d) > 1)
         for j in range(n + 1):
             walk = [[q for t, q in enumerate(axes[a]) if a != i or t != j] for a in order]
-            rule.append((_positions(walk), tuple(dims[a] for a in order if dims[a]), sign))
+            positions = _positions(walk)
+            rule.append((positions, sub, sign, _Ties(sub, positions, sign, tied) if tied else None))
             sign = -sign
     return axes, tuple(rule)
+
+
+class _Ties:
+    """How a cell's labels order a facet's equal-dimension factors.
+
+    ``seconds`` holds the cell-grid positions of the tied factors' second
+    vertices; the grid is injective and every axis starts at the origin, so
+    those labels decide.  Each order of the tied factors has its own facet
+    positions on the cell grid and sign: for two factors both are tabled up
+    front and one label comparison picks, for three or more a small sort
+    names the order and the table fills as orders occur.
+    """
+
+    __slots__ = ("shape", "positions", "sign", "tied", "groups", "seconds", "orders")
+
+    def __init__(self, shape, positions, sign, tied):
+        self.shape, self.positions, self.sign, self.tied = shape, positions, sign, tied
+        self.groups = tuple(-shape[f] for f in tied)
+        axes = _shape_rule(shape)[0]
+        self.seconds = tuple(positions[axes[f][1]] for f in tied)
+        self.orders = ((self._entry(tied), self._entry(tied[::-1])) if len(tied) == 2
+                       else {})
+
+    def _entry(self, order):
+        """Facet positions and sign with the tied factors in ``order``."""
+        full = list(range(len(self.shape)))
+        for slot, f in zip(self.tied, order):
+            full[slot] = f
+        axes = _shape_rule(self.shape)[0]
+        walk = _positions([axes[f] for f in full])
+        return (tuple(self.positions[q] for q in walk),
+                self.sign * _block_sign(self.shape, full))
+
+    def settle(self, grid):
+        """The facet's positions on ``grid`` and its sign."""
+        if len(self.tied) == 2:
+            a, b = self.seconds
+            return self.orders[grid[b] < grid[a]]
+        # groups keep unequal dimensions apart; labels are distinct, so the
+        # factor index never decides
+        order = tuple(f for _, _, f in sorted(zip(self.groups, [grid[p] for p in self.seconds],
+                                                  self.tied)))
+        entry = self.orders.get(order)
+        if entry is None:
+            entry = self.orders[order] = self._entry(order)
+        return entry
 
 
 class Cell(NamedTuple):
@@ -100,41 +150,24 @@ class Cell(NamedTuple):
         return f"Cell({facs}: {self.grid})"
 
 
-def canonical_with_sign(shape, grid):
-    """Sort factors into canonical order; the sign is the orientation parity
-    of the factor-block permutation (blocks weighted by their dimensions)."""
-    shape = tuple(shape)
-    grid = tuple(grid)
-    k = len(shape)
-    if k <= 1:
-        return Cell(shape, grid), 1
-    axes = _shape_rule(shape)[0]
-    # every axis starts at the grid origin and the grid is injective, so the
-    # second vertex on each axis decides between equal-dimension factors
-    order = sorted(range(k), key=lambda i: (-shape[i], grid[axes[i][1]]))
-    if order == list(range(k)):
-        return Cell(shape, grid), 1
-    new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
-    return (Cell(tuple(shape[i] for i in order), new_grid),
-            _block_sign(shape, order))
-
-
 def facets(cell: Cell):
     """Signed facets of a cell under the product boundary rule.
 
     Factor i contributes its simplex boundary with global sign (-1)^alpha(i),
     alpha(i) the sum of the preceding factor dimensions; deleting vertex j
     inside the factor carries (-1)^j, and re-sorting the resulting factors
-    multiplies by the block-permutation parity; all but the label order of
-    equal-dimension factors comes from the shape's facet rule.
+    multiplies by the block-permutation parity.  The shape's facet rule
+    decides all of it, the cell's labels only the order of equal-dimension
+    factors (see `_Ties`).
     """
     if cell.dim == 0:
         raise ValueError("a vertex has no facets")
     grid = cell.grid
     out = []
-    for positions, sub_shape, sign in _shape_rule(cell.shape)[1]:
-        fac, csign = canonical_with_sign(sub_shape, [grid[p] for p in positions])
-        out.append((fac, sign * csign))
+    for positions, sub_shape, sign, ties in _shape_rule(cell.shape)[1]:
+        if ties is not None:
+            positions, sign = ties.settle(grid)
+        out.append((Cell(sub_shape, tuple([grid[p] for p in positions])), sign))
     return out
 
 

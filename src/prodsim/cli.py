@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
+import os
 import random
 import sys
 import time
@@ -27,7 +28,7 @@ from .dow import (
     successors,
     tangled_cord,
 )
-from .homology import homology_summary, rational_rank, snf
+from .homology import homology_summaries, homology_summary, rational_rank, snf
 from .matrices import IntMatrix
 from .wordgraph import are_coprime, global_word_graph, rooted_word_graph, word_label
 
@@ -79,6 +80,16 @@ def _graph_from_source(args) -> Digraph:
             raise ValueError("usage: construct NAME [ARGS...]")
         return constructions.construct(rest[0], rest[1:])
     raise ValueError(f"unknown graph source {kind!r} (use rooted/global/construct)")
+
+
+def _check_output(path):
+    """Raise OSError now, before any work, when ``path`` cannot be opened
+    for writing; an existing file is left as it is, and none is created."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, text: str):
@@ -215,21 +226,23 @@ def cmd_table(args) -> int:
     n = 2
     try:
         # one complex for every row: G_n is the subgraph of G_N on the
-        # vertices born by n, and its complex the cells born by n
+        # vertices born by n, and its complex the cells born by n; one
+        # reduction per degree gives every row's homology
         budget.check("before the complex")
         g = rooted_word_graph(tangled_cord(args.n_max)).graph
         cx = build_complex(g, 3)  # beta2 is exact with cells through dim 3
         cx, births = _birth_ordered(cx, _tangled_births(g, args.n_max))
-        for n in range(2, args.n_max + 1):
+        budget.check("before the homology")
+        ns = range(2, args.n_max + 1)
+        summaries = homology_summaries(cx, [_born_by(births, n) for n in ns])
+        for n, summary in zip(ns, summaries):
             if n >= 9:
                 print(f"table: computing tangled cord n={n}", file=sys.stderr)
             budget.check(f"before row n={n}")
-            counts = _born_by(births, n)
-            summary = homology_summary(cx, counts=counts)
             budget.check(f"after row n={n}")
             lines.append("\t".join([str(n), format_word(tangled_cord(n).symbols, commas=True),
                                     str(summary.betti.get(1, 0)), str(summary.betti.get(2, 0)),
-                                    str(counts[0])]))
+                                    str(summary.cell_counts[0])]))
     except BudgetExceeded:
         lines.append(f"# budget exceeded; rows n>={n} omitted")
         code = 3
@@ -429,6 +442,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except BrokenPipeError:
         return 0

@@ -7,8 +7,9 @@ integers are never used.  `homology_summary` takes the degrees in ascending
 order and clears across them: the columns of each degree's +-1 pivots are
 cells of the next degree's row space, and those rows are left out of the
 next Smith form, which keeps every invariant factor (see `snf`).  Every
-Smith form is taken by one path, on a leading block of the matrix, the whole
-matrix being the largest block.
+Smith form is taken by one path, on nested leading blocks of the matrix, the
+whole matrix being the largest block; `homology_summaries` reads the
+homology of nested subcomplexes off one reduction per degree.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _pick_pivot(rows):
     return best[1], best[2]
 
 
-def snf(m: IntMatrix, *, cleared=(), paired=None, prefix=None) -> SnfResult:
+def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
@@ -55,40 +56,73 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, prefix=None) -> SnfResult:
     coefficient growth, and its diagonal is folded into a divisibility chain
     with one gcd/lcm pass per non-unit entry.
 
-    For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
-    +-1 pivots that `_unit_pass` found in d_n; those rows of m are left out
-    and the result is unchanged.  When `paired` is a set, the columns of
-    this matrix's +-1 pivots are added to it.
-
-    ``prefix=(rows, cols)``, by default the whole shape, takes the Smith
-    form of the leading rows x cols block of m without building that block
-    as a matrix; the whole matrix is just the largest block, so there is one
-    path.  For a boundary matrix the block is the boundary of a subcomplex
-    only when the leading cells are face-closed: every facet of the first
+    ``cuts`` lists nested leading blocks (rows, cols) in ascending order, by
+    default the whole shape alone, and the result is the Smith form of the
+    last; when ``by_cut`` is a list, each cut's rank and non-unit invariant
+    factors are appended to it.  A block is the boundary of a subcomplex only
+    when the leading cells are face-closed: every facet of the first
     ``cols`` cells lies among the first ``rows``, so no column of the block
     loses a nonzero to the cut and the block still squares to zero with its
-    neighbours, which clearing relies on.
+    neighbours, which clearing relies on.  Every cut but the last must be
+    face-closed within the last, or ValueError is raised.
+
+    One pass serves every cut.  Block k's rows and columns enter together;
+    the unit pass runs on the columns entered so far, and the columns where
+    it met no +-1 carry into the next block.  The pivots of blocks 1..k are
+    +-1 pivots of the k-th cut, whose later rows are zero on their columns,
+    so the working rows cut at block k's columns are a unimodular Schur
+    complement of that cut: its Smith form is the units so far plus `_snf`
+    of a copy of the leftover columns.  The last cut's leftover is reduced in
+    place; with one cut this is a single unit pass and Smith loop.
+
+    For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
+    +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
+    rows of m are left out and every result is unchanged.  When `paired` is
+    a set, the columns of this matrix's +-1 pivots are added to it, but only
+    those pivoted in the block they entered with, since a row left out of
+    d_{n+1} must be left out of every cut that holds it.
     """
     # Clearing (Chen-Kerber's twist, exact over Z for +-1 pivots): the unit
     # pass on d_n eliminated pivots in rows R and columns P, so A = d_n[R, P]
     # is unimodular (det = +-product of the pivots = +-1).  On ker d_n the P
-    # coordinates are fixed by the rest, z_P = -A^-1 B z_Q, so dropping them
-    # is injective on ker d_n and its image, the kernel of an integer matrix,
-    # is saturated.  im d_{n+1} lies in ker d_n, so d_{n+1} without rows P
-    # has the same rank and the same invariant factors.
-    rows = _rows(m, cleared, prefix)
-    pivots = _unit_pass(rows)
-    if paired is not None:
-        paired.update(pivots)
-    return SnfResult((1,) * len(pivots) + _snf(rows).invariant_factors)
+    # coordinates are fixed by the rest, z_P = -A^-1 B z_Q, so dropping them,
+    # or any subset of them, is injective on ker d_n and its image, the
+    # kernel of an integer matrix, is saturated.  im d_{n+1} lies in ker d_n,
+    # so d_{n+1} without those rows has the same rank and invariant factors.
+    cuts = cuts or ((m.nrows, m.ncols),)
+    ncols = cuts[-1][1]
+    rows, cols = {}, {}
+    units = 0
+    stuck = []
+    r0 = c0 = 0
+    for k, (nr, nc) in enumerate(cuts):
+        if nr < r0 or nc < c0:
+            raise ValueError(f"cut {(nr, nc)} does not contain the cut {(r0, c0)} before it")
+        for r, row in _rows(m, cleared, range(r0, nr), ncols).items():
+            if c0 and min(row) < c0:
+                raise ValueError(f"cut {(r0, c0)} is not face-closed: row {r} meets column {min(row)}")
+            rows[r] = row
+            for c in row:
+                cols.setdefault(c, []).append(r)
+        pivots, stuck = _unit_pass(rows, cols, stuck + [c for c in cols if c0 <= c < nc])
+        units += len(pivots)
+        if paired is not None:
+            paired.update(c for c in pivots if c >= c0)
+        last = k == len(cuts) - 1
+        rest = _snf(rows if last else _leftover(rows, cols, stuck))
+        if by_cut is not None:
+            by_cut.append((units + rest.rank, tuple(d for d in rest.invariant_factors if d != 1)))
+        r0, c0 = nr, nc
+    return SnfResult((1,) * units + rest.invariant_factors)
 
 
-def _rows(m: IntMatrix, cleared=(), prefix=None):
-    # a copy of the leading block: the eliminations work in place, and the
-    # matrix stays cached
-    nrows, ncols = prefix or (m.nrows, m.ncols)
+def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
+    """A copy of ``rows`` of m, by default all, cut at ``ncols`` columns and
+    without the ``cleared`` ones: the eliminations work in place, and the
+    matrix stays cached."""
+    ncols = m.ncols if ncols is None else ncols
     out = {}
-    for r in range(nrows):
+    for r in range(m.nrows) if rows is None else rows:
         if r in m.rows and r not in cleared:
             row = {c: v for c, v in m.rows[r].items() if c < ncols}
             if row:
@@ -96,25 +130,35 @@ def _rows(m: IntMatrix, cleared=(), prefix=None):
     return out
 
 
-def _unit_pass(rows):
+def _leftover(rows, cols, stuck):
+    """A copy of the entries in columns ``stuck``, which hold every nonzero
+    the unit pass left in the columns entered so far."""
+    out = {}
+    for c in stuck:
+        for r in cols[c]:
+            v = rows.get(r, {}).get(c)
+            if v:
+                out.setdefault(r, {})[c] = v
+    return out
+
+
+def _unit_pass(rows, cols, candidates):
     """Eliminate +-1 pivots in Markowitz order, in place on {row: {col: v}}.
 
-    Columns come off a heap keyed by their length, shortest first; in each,
-    the pivot is the shortest row holding a +-1.  Clearing the pivot column
-    with row operations and dropping the pivot row and column is a unimodular
-    Schur step, so the rank and the invariant factors are kept.  Returns the
-    pivot columns in elimination order; `rows` is left holding the non-unit
-    remainder.
+    ``cols`` indexes every column of ``rows`` by append-only row lists,
+    compacted when the column is popped; only the ``candidates`` columns
+    may pivot, but fill-in is indexed in every column.  Candidates come off
+    a heap keyed by their length, shortest first; in each, the pivot is the
+    shortest row holding a +-1.  Clearing the pivot column with row
+    operations and dropping the pivot row and column is a unimodular Schur
+    step, so the rank and the invariant factors are kept.  Returns the pivot
+    columns in elimination order and the candidates that held entries but
+    no +-1 when popped; `rows` is left holding the non-unit remainder.
     """
-    # column index: append-only row lists, compacted when the column is
-    # popped; a column whose length went stale goes back on the heap
-    cols = {}
-    for r, row in rows.items():
-        for c in row:
-            cols.setdefault(c, []).append(r)
-    heap = [(len(rs), c) for c, rs in cols.items()]
+    # a column whose length went stale goes back on the heap
+    heap = [(len(cols[c]), c) for c in candidates]
     heapq.heapify(heap)
-    pivots = []
+    pivots, stuck = [], []
     while heap:
         n, c = heapq.heappop(heap)
         live = [r for r in dict.fromkeys(cols[c]) if c in rows.get(r, ())]
@@ -128,6 +172,7 @@ def _unit_pass(rows):
             if rows[r][c] in (1, -1) and (piv is None or len(rows[r]) < len(rows[piv])):
                 piv = r
         if piv is None:
+            stuck.append(c)
             continue
         prow = rows.pop(piv)
         pv = prow[c]
@@ -151,7 +196,7 @@ def _unit_pass(rows):
             if not row:
                 del rows[r]
         pivots.append(c)
-    return pivots
+    return pivots, stuck
 
 
 def _quotient(e, v):
@@ -288,37 +333,49 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
     ``counts``, a {dimension: k} map defaulting to every cell, restricts the
     summary to the first k cells of each dimension, which must form a
     subcomplex: the facets of every kept cell are kept too (see `snf`'s
-    ``prefix``).  Ranks and invariant factors do not depend on the order of
+    ``cuts``).  Ranks and invariant factors do not depend on the order of
     rows and columns, so the result is exact over Z, torsion included; cell
     counts and the Euler characteristic are the prefix's.
     """
+    return homology_summaries(cx, [cx.counts() if counts is None else counts], max_deg)[0]
+
+
+def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
+    """`homology_summary` of each of nested subcomplexes, in one reduction.
+
+    ``cuts`` is a nonempty list of ``counts`` maps, each face-closed and
+    each holding the one before it in every dimension.  Every degree's
+    boundary matrix is reduced once, by one `snf` over all the cuts, and
+    clearing runs across degrees as for one cut.
+    """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
-    if counts is None:
-        counts = cx.counts()
-    top = max((d for d, c in counts.items() if c), default=0)
-    snfs = {}
+    top = max((d for d, c in cuts[-1].items() if c), default=0)
+    forms = {}
     cleared = ()
     for n in range(1, min(max_deg + 1, top) + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
-        paired = set()
-        snfs[n] = snf(cx.boundary_matrix(n), cleared=cleared, paired=paired,
-                      prefix=(counts[n - 1], counts[n]))
+        paired, forms[n] = set(), []
+        snf(cx.boundary_matrix(n), cleared=cleared, paired=paired,
+            cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts], by_cut=forms[n])
         cleared = paired
     cx.check_boundary_squares_to_zero()
+    return [_summary(cx, counts, {n: f[i] for n, f in forms.items()}, max_deg)
+            for i, counts in enumerate(cuts)]
 
+
+def _summary(cx, counts, forms, max_deg):
+    """One cut's summary from its (rank, non-unit factors) per degree."""
     def rank_of(n):
-        return snfs[n].rank if n in snfs else 0
+        return forms[n][0] if n in forms else 0
 
     betti = {}
     torsion = {}
     truncated = []
     for n in range(max_deg + 1):
-        c_n = counts.get(n, 0)
-        betti[n] = c_n - rank_of(n) - rank_of(n + 1)
-        tor = [d for d in snfs[n + 1].invariant_factors if d > 1] if n + 1 in snfs else []
-        torsion[n] = tor
+        betti[n] = counts.get(n, 0) - rank_of(n) - rank_of(n + 1)
+        torsion[n] = list(forms[n + 1][1]) if n + 1 in forms else []
         if n + 1 > cx.max_dim and not cx.complete:
             truncated.append(n)
     euler = sum((-1) ** d * c for d, c in counts.items())

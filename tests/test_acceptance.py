@@ -148,6 +148,14 @@ def test_benchmark_tracer_hooks_still_fit(monkeypatch, capsys):
     assert all(s["deg"] in tracing.DEGREES and s["rank"] >= 0 for s in spans), spans
     metrics, _ = tracing.layer_metrics(tracer.spans, 1.0, (0, 0))
     assert set(metrics) == set(tracing.LAYER_UNITS)
+    # G_6 has no 3-cells; from n = 7 on the table reduces d3 too, and each
+    # degree once for all its rows
+    first = len(tracer.spans)
+    assert cli.main(["table", "7"]) == 0
+    capsys.readouterr()
+    spans = [s for s in tracer.spans[first:] if s["name"] == "homology.snf"]
+    assert [s["deg"] for s in spans] == [1, 2, 3], spans
+    assert all(s["rank"] > 0 for s in spans), spans
 
 
 def test_criterion_3_torsion_probe_t10():

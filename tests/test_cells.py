@@ -18,7 +18,25 @@ from prodsim import (
     three_square_sphere,
     tennis_sphere,
 )
-from prodsim.cells import canonical_with_sign, complex_to_json
+from prodsim.cells import _block_sign, _partitions, _positions, _shape_rule, complex_to_json
+
+
+def canonical_with_sign(shape, grid):
+    """Oracle: sort factors into canonical order, equal dimensions by the
+    second vertex on each axis; the sign is the orientation parity of the
+    factor-block permutation (blocks weighted by their dimensions)."""
+    shape = tuple(shape)
+    grid = tuple(grid)
+    k = len(shape)
+    if k <= 1:
+        return Cell(shape, grid), 1
+    axes = _shape_rule(shape)[0]
+    order = sorted(range(k), key=lambda i: (-shape[i], grid[axes[i][1]]))
+    if order == list(range(k)):
+        return Cell(shape, grid), 1
+    new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
+    return (Cell(tuple(shape[i] for i in order), new_grid),
+            _block_sign(shape, order))
 
 
 def simplex_digraph(n):
@@ -317,6 +335,39 @@ class TestFacets:
                 key = vf.grid[0]
                 acc[key] = acc.get(key, 0) + s * vs
         assert all(v == 0 for v in acc.values())
+
+    def test_tie_tables_match_the_sorting_oracle(self):
+        # facets settle equal-dimension factors from the shape's tie tables;
+        # the oracle re-sorts each facet's factors by label from the rule's
+        # positions and signs, on a canonical cell of every shape of
+        # dimension 1..6, so facets with 2- to 5-way ties all occur, and
+        # cells of shapes such as (1,1,1,1) and (2,2,2) are tied themselves
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        shapes = [shape for d in range(1, 7) for shape in _partitions(d)]
+        tie_sizes = {len(ties.tied) for shape in shapes
+                     for *_, ties in _shape_rule(shape)[1] if ties}
+        assert tie_sizes == {2, 3, 4, 5}
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.data())
+        def check(data):
+            for shape in shapes:
+                size = 1
+                for n in shape:
+                    size *= n + 1
+                labels = data.draw(st.lists(st.integers(0, 4 * size), min_size=size,
+                                            max_size=size, unique=True))
+                cell = canonical_with_sign(shape, labels)[0]
+                old = []
+                for positions, sub_shape, sign, _ in _shape_rule(shape)[1]:
+                    fac, csign = canonical_with_sign(sub_shape, [cell.grid[p] for p in positions])
+                    old.append((fac, sign * csign))
+                assert facets(cell) == old, cell
+
+        check()
 
     def test_vertex_has_no_facets(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,26 @@ class TestNormalize:
         assert err.startswith("error: FileNotFoundError") and "Traceback" not in err
         assert not target.parent.exists()
 
+    def test_bad_output_fails_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def unreachable(*args):
+            raise AssertionError("the complex was built for an unwritable --output")
+
+        monkeypatch.setattr(cli, "build_complex", unreachable)
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "table", "6", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: FileNotFoundError") and "Traceback" not in err
+
+    def test_output_check_leaves_files_alone(self, capsys, tmp_path):
+        # the check creates no file when the command fails, and truncates
+        # none that exists
+        target = tmp_path / "out.txt"
+        assert run(capsys, "normalize", "121", "--output", str(target))[0] == 2
+        assert not target.exists()
+        target.write_text("kept\n")
+        assert run(capsys, "normalize", "121", "--output", str(target))[0] == 2
+        assert target.read_text() == "kept\n"
+
     def test_broken_pipe_still_exits_0(self, capsys, monkeypatch):
         # BrokenPipeError is an OSError, but a closed reader is not an error
         def closed(args):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -15,6 +15,7 @@ from prodsim import (
     enumerate_dows,
     global_word_graph,
     glue_at_vertex,
+    homology_summaries,
     homology_summary,
     lantern,
     multiloop,
@@ -172,12 +173,18 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
     # boundary matrix
     from prodsim import homology
     plain = homology.snf
-    cleared_rows = []
+    cleared_rows, multi_cut_rows = [], []
 
     def checked(m, **clearing):
         res = plain(m, **clearing)
         assert res == plain(m)
         cleared_rows.append(len(clearing["cleared"]))
+        # every cut of the one pass is the plain form of its leading block
+        for cut, (rank, nonunit) in zip(clearing["cuts"], clearing["by_cut"]):
+            block = plain(m, cuts=[cut])
+            assert (rank, nonunit) == (block.rank, tuple(d for d in block.invariant_factors if d > 1))
+        if len(clearing["cuts"]) > 1:
+            multi_cut_rows.append(len(clearing["cleared"]))
         return res
 
     monkeypatch.setattr(homology, "snf", checked)
@@ -190,6 +197,11 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
         cx = build_complex(g, max_dim)
         homology_summary(cx, max_deg=cx.top_dim())
     assert sum(cleared_rows) > 0
+    # the table's path: one pass over every birth block of G_11
+    g = rooted_word_graph(tangled_cord(11)).graph
+    cx, births = _birth_ordered(build_complex(g, 3), _tangled_births(g, 11))
+    homology_summaries(cx, [_born_by(births, n) for n in range(2, 12)])
+    assert len(multi_cut_rows) == 3 and sum(multi_cut_rows) > 0
 
 
 class TestRationalRank:
@@ -360,20 +372,23 @@ def test_tangled_prefixes_match_per_n_complexes():
     # is the per-n summary
     g = rooted_word_graph(tangled_cord(12)).graph
     cx, births = _birth_ordered(build_complex(g, 3), _tangled_births(g, 12))
+    one_pass = homology_summaries(cx, [_born_by(births, n) for n in range(2, 13)])
     for n in range(2, 13):
         prefix = homology_summary(cx, counts=_born_by(births, n))
         per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
         assert prefix == per_n, n
         assert prefix.torsion[2] == ([2] if n >= 10 else []), n
+        # the table's rows: betti, torsion, euler and cell counts
+        assert one_pass[n - 2] == prefix, n
 
 
 def test_prefix_snf_leaves_the_matrix_alone():
     # a prefix is read off the cached matrix, which stays whole
     m = IntMatrix.from_rows([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
     before = dict(m.entries)
-    assert snf(m, prefix=(2, 2)).invariant_factors == (1, 2)
-    assert snf(m, prefix=(1, 3)).rank == 1
-    assert snf(m, prefix=(0, 3)).rank == 0
+    assert snf(m, cuts=[(2, 2)]).invariant_factors == (1, 2)
+    assert snf(m, cuts=[(1, 3)]).rank == 1
+    assert snf(m, cuts=[(0, 3)]).rank == 0
     assert m.entries == before
 
 
@@ -400,10 +415,69 @@ def test_prefix_snf_is_the_snf_of_the_leading_block():
         m, r, c = case
         block = IntMatrix(r, c, {(i, j): v for (i, j), v in m.entries.items()
                                  if i < r and j < c})
-        assert snf(m, prefix=(r, c)) == snf(block)
-        assert snf(m, prefix=(m.nrows, m.ncols)) == snf(m)
+        assert snf(m, cuts=[(r, c)]) == snf(block)
+        assert snf(m, cuts=[(m.nrows, m.ncols)]) == snf(m)
 
     check()
+
+
+def test_one_pass_gives_each_cut_the_smith_form_of_its_block():
+    # random block upper-triangular matrices: an entry sits only where the
+    # row's block is at most the column's, so every cut is face-closed, and
+    # entries up to 3 leave non-unit leftovers that carry across blocks;
+    # each cut's rank and non-unit factors must be those of the Smith loop
+    # alone on the leading block built explicitly
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def blocked(draw):
+        k = draw(st.integers(1, 5))
+        heights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        widths = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        row_block = [b for b, h in enumerate(heights) for _ in range(h)]
+        col_block = [b for b, w in enumerate(widths) for _ in range(w)]
+        entries = {(i, j): draw(st.integers(-3, 3))
+                   for i, a in enumerate(row_block) for j, b in enumerate(col_block) if a <= b}
+        cuts = list(zip(accumulate(heights), accumulate(widths)))
+        return IntMatrix(len(row_block), len(col_block), entries), cuts
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocked())
+    def check(case):
+        m, cuts = case
+        by_cut = []
+        last = snf(m, cuts=cuts, by_cut=by_cut)
+        assert len(by_cut) == len(cuts)
+        for (r, c), (rank, nonunit) in zip(cuts, by_cut):
+            block = IntMatrix(r, c, {(i, j): v for (i, j), v in m.entries.items()
+                                     if i < r and j < c})
+            want = _snf(_rows(block))
+            assert (rank, nonunit) == (want.rank, tuple(d for d in want.invariant_factors if d > 1))
+        assert last == _snf(_rows(m))
+
+    check()
+
+
+def test_paired_holds_only_pivots_found_in_their_own_block():
+    # column 0 meets no +-1 when block 1 pops it; the pivot on column 1 then
+    # turns its 2 into a -1, and block 2 pivots it.  Its row in d_{n+1} may
+    # be left out only if every cut holding it clears it, so it is not
+    # reported
+    m = IntMatrix.from_rows([[3, 1], [2, 1]])
+    paired, by_cut = set(), []
+    assert snf(m, paired=paired, cuts=[(2, 2), (2, 2)], by_cut=by_cut).rank == 2
+    assert paired == {1} and by_cut == [(2, ()), (2, ())]
+
+
+def test_cuts_must_nest_and_be_face_closed():
+    m = IntMatrix.from_rows([[1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="does not contain"):
+        snf(m, cuts=[(2, 1), (1, 2)])
+    with pytest.raises(ValueError, match="not face-closed"):
+        snf(m, cuts=[(1, 1), (2, 2)])
+    assert snf(m, cuts=[(2, 1), (2, 2)]).rank == 2
 
 
 def test_boundary_check_runs_once_per_complex(monkeypatch):

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from prodsim import Digraph, build_complex, homology_summary  # noqa: E402
+from prodsim import Digraph, build_complex, homology_summaries, homology_summary  # noqa: E402
 from prodsim.cli import _birth_ordered, _born_by, _random_consistent_digraph  # noqa: E402
 
 
@@ -23,8 +23,12 @@ def test_birth_prefixes_are_induced_subcomplexes(seed, size, births):
     g = _random_consistent_digraph(random.Random(seed), size)
     birth = {v: births[i] for i, v in enumerate(sorted(g.vertices))}
     cx, cell_births = _birth_ordered(build_complex(g, 3), birth)
+    # the table's path: every prefix's summary from one reduction per degree
+    one_pass = homology_summaries(cx, [_born_by(cell_births, t) for t in range(-1, 5)])
     for t in range(-1, 5):
         kept = {v for v, b in birth.items() if b <= t}
         sub = Digraph(kept, [(u, v) for u, v in g.edges if u in kept and v in kept])
         prefix = homology_summary(cx, counts=_born_by(cell_births, t))
-        assert prefix == homology_summary(build_complex(sub, 3))
+        fresh = homology_summary(build_complex(sub, 3))
+        assert prefix == fresh
+        assert one_pass[t + 1] == fresh  # betti, torsion, euler and cell counts

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import defaultdict
+from itertools import compress, repeat
+from operator import itemgetter, lt, not_
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -80,8 +83,9 @@ class _Ties:
     vertices; the grid is injective and every axis starts at the origin, so
     those labels decide.  Each order of the tied factors has its own facet
     positions on the cell grid and sign: for two factors both are tabled up
-    front and one label comparison picks, for three or more a small sort
-    names the order and the table fills as orders occur.
+    front and one label comparison per cell picks (see `_facet_plan`), for
+    three or more a small sort names the order and the table fills as
+    orders occur.
     """
 
     __slots__ = ("shape", "positions", "sign", "tied", "groups", "seconds", "orders")
@@ -105,10 +109,8 @@ class _Ties:
                 self.sign * _block_sign(self.shape, full))
 
     def settle(self, grid):
-        """The facet's positions on ``grid`` and its sign."""
-        if len(self.tied) == 2:
-            a, b = self.seconds
-            return self.orders[grid[b] < grid[a]]
+        """The facet's positions on ``grid`` and its sign, for three or more
+        tied factors (`_facet_plan` splits two by one comparison)."""
         # groups keep unequal dimensions apart; labels are distinct, so the
         # factor index never decides
         order = tuple(f for _, _, f in sorted(zip(self.groups, [grid[p] for p in self.seconds],
@@ -150,6 +152,55 @@ class Cell(NamedTuple):
         return f"Cell({facs}: {self.grid})"
 
 
+def _gather(positions, grids):
+    """Each grid's labels at ``positions``, as tuples."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(*positions), grids))
+    return map(itemgetter(*positions), grids)
+
+
+def _facet_plan(shape, names, grids):
+    """The facets of every cell of ``shape``, one facet rule at a time.
+
+    ``names`` name the cells whose grids are ``grids``, in the same order.
+    Yields (names, sub-shape, sign, facet grids), one name per facet grid.
+    A rule without ties gathers every facet grid at its positions; two tied
+    factors split the cells by one label comparison between the orders
+    `_Ties` tables up front; three or more are settled cell by cell.
+    """
+    for positions, sub_shape, sign, ties in _shape_rule(shape)[1]:
+        if ties is None:
+            yield names, sub_shape, sign, _gather(positions, grids)
+        elif len(ties.tied) == 2:
+            a, b = ties.seconds
+            flips = list(map(lt, map(itemgetter(b), grids), map(itemgetter(a), grids)))
+            for keep, (positions, sign) in zip((list(map(not_, flips)), flips), ties.orders):
+                yield (compress(names, keep), sub_shape, sign,
+                       _gather(positions, compress(grids, keep)))
+        else:
+            for j, grid in zip(names, grids):
+                positions, sign = ties.settle(grid)
+                yield (j,), sub_shape, sign, _gather(positions, (grid,))
+
+
+def _shape_chunks(cols, size=1024):
+    """The columns grouped by shape, in runs of at most ``size`` in column
+    order: (shape, column indices, grids).
+
+    Runs keep the row dicts filling in column order, as cell-by-cell
+    assembly fills them.  One rule at a time over a whole dimension would
+    grow every row dict in step, and the small tables they outgrow stay
+    stranded: on `table 16` that held 15 MB more resident after d3.
+    """
+    by_shape = defaultdict(list)
+    for j, cell in enumerate(cols):
+        by_shape[cell.shape].append(j)
+    for shape, group in by_shape.items():
+        for start in range(0, len(group), size):
+            js = group[start:start + size]
+            yield shape, js, [cols[j].grid for j in js]
+
+
 def facets(cell: Cell):
     """Signed facets of a cell under the product boundary rule.
 
@@ -158,17 +209,13 @@ def facets(cell: Cell):
     inside the factor carries (-1)^j, and re-sorting the resulting factors
     multiplies by the block-permutation parity.  The shape's facet rule
     decides all of it, the cell's labels only the order of equal-dimension
-    factors (see `_Ties`).
+    factors (see `_Ties`).  This is the one-cell case of `_facet_plan`.
     """
     if cell.dim == 0:
         raise ValueError("a vertex has no facets")
-    grid = cell.grid
-    out = []
-    for positions, sub_shape, sign, ties in _shape_rule(cell.shape)[1]:
-        if ties is not None:
-            positions, sign = ties.settle(grid)
-        out.append((Cell(sub_shape, tuple([grid[p] for p in positions])), sign))
-    return out
+    return [(Cell(sub_shape, grid), sign)
+            for _, sub_shape, sign, grids in _facet_plan(cell.shape, (0,), (cell.grid,))
+            for grid in grids]
 
 
 def _partitions(n, max_part=None):
@@ -285,16 +332,21 @@ class ChainComplex:
             return self._matrices[n]
         rows = self.index.get(n - 1, {})
         cols = self.cells.get(n, [])
-        # the facets of a cell are distinct cells, so each entry is written once
-        by_row = {}
-        for j, cell in enumerate(cols):
-            for fac, sign in facets(cell):
-                i = rows.get(fac)
-                if i is None:
-                    raise InconsistentComplexError(
-                        f"facet {fac!r} of {cell!r} missing from dimension {n - 1}")
-                by_row.setdefault(i, {})[j] = sign
-        m = IntMatrix.from_row_dicts(len(rows), len(cols), by_row)
+        # the facets of a cell are distinct cells, so each entry is written
+        # once; a facet is looked up as its (sub-shape, grid) tuple
+        by_row = defaultdict(dict)
+        try:
+            for shape, js, grids in _shape_chunks(cols):
+                for names, sub_shape, sign, fac_grids in _facet_plan(shape, js, grids):
+                    for j, i in zip(names, map(rows.__getitem__,
+                                               zip(repeat(sub_shape), fac_grids))):
+                        by_row[i][j] = sign
+        except KeyError as exc:
+            fac = Cell(*exc.args[0])
+            cell = next(c for c in cols if any(f == fac for f, _ in facets(c)))
+            raise InconsistentComplexError(
+                f"facet {fac!r} of {cell!r} missing from dimension {n - 1}") from None
+        m = IntMatrix.from_row_dicts(len(rows), len(cols), dict(by_row))
         self._matrices[n] = m
         return m
 

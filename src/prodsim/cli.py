@@ -229,15 +229,16 @@ def cmd_table(args) -> int:
         # vertices born by n, and its complex the cells born by n; one
         # reduction per degree gives every row's homology
         budget.check("before the complex")
+        print(f"table: computing tangled cord n={args.n_max}", file=sys.stderr)
         g = rooted_word_graph(tangled_cord(args.n_max)).graph
         cx = build_complex(g, 3)  # beta2 is exact with cells through dim 3
         cx, births = _birth_ordered(cx, _tangled_births(g, args.n_max))
         budget.check("before the homology")
+        print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
+              file=sys.stderr)
         ns = range(2, args.n_max + 1)
         summaries = homology_summaries(cx, [_born_by(births, n) for n in ns])
         for n, summary in zip(ns, summaries):
-            if n >= 9:
-                print(f"table: computing tangled cord n={n}", file=sys.stderr)
             budget.check(f"before row n={n}")
             budget.check(f"after row n={n}")
             lines.append("\t".join([str(n), format_word(tangled_cord(n).symbols, commas=True),

@@ -156,6 +156,13 @@ def test_benchmark_tracer_hooks_still_fit(monkeypatch, capsys):
     spans = [s for s in tracer.spans[first:] if s["name"] == "homology.snf"]
     assert [s["deg"] for s in spans] == [1, 2, 3], spans
     assert all(s["rank"] > 0 for s in spans), spans
+    # boundary assembly stays inside the traced method: the first call per
+    # degree builds the matrix, so the benchmark's boundary and nnz metrics
+    # cannot silently read zero
+    spans = tracer.spans[first:]
+    built = [s for s in spans if s["name"] == "cells.boundary" and s["nnz"] > 0]
+    assert [s["deg"] for s in built] == [1, 2, 3], built
+    assert [s["name"] for s in spans].count("cells.dd_check") == 1
 
 
 def test_criterion_3_torsion_probe_t10():

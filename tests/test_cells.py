@@ -1,14 +1,18 @@
 """Cell detection, canonical orientation, boundary operator, face closure."""
 
 import random
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
 
 from prodsim import (
     Cell,
+    ChainComplex,
     Digraph,
     Dow,
+    InconsistentComplexError,
+    IntMatrix,
     build_complex,
     cartesian_product,
     facets,
@@ -19,6 +23,7 @@ from prodsim import (
     tennis_sphere,
 )
 from prodsim.cells import _block_sign, _partitions, _positions, _shape_rule, complex_to_json
+from prodsim.cli import _random_consistent_digraph
 
 
 def canonical_with_sign(shape, grid):
@@ -414,3 +419,78 @@ class TestBoundaryMatrix:
         obj = json.loads(complex_to_json(cx))
         assert obj["cells"]["2"]
         assert all(len(t) == 3 for t in obj["boundaries"]["2"]["triplets"])
+
+    def test_assembly_matches_the_cell_by_cell_oracle(self):
+        # boundary assembly runs a shape at a time; the oracle takes each
+        # cell's facets from the rule's positions and re-sorts their factors
+        # by label, on complexes whose cells are shuffled per dimension, so
+        # shapes interleave as in the birth-ordered table
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        import prodsim.cells as cells_module
+
+        def product(*graphs):
+            g = graphs[0]
+            for h in graphs[1:]:
+                g = cartesian_product(g, h)
+            return g
+
+        shape_chunks = cells_module._shape_chunks
+        e = edge_graph()
+        tri = simplex_digraph(2)
+        path = Digraph(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")])
+        fixed = [build_complex(g, 5) for g in (
+            three_square_sphere(), tennis_sphere(True), tennis_sphere(False),
+            product(e, e, e, e), product(e, e, e, e, e), product(tri, e, e),
+            product(path, tri, e))]
+        seen_ties, interleaved = set(), set()
+
+        def oracle(cx, n):
+            index = cx.index[n - 1]
+            entries = {}
+            for j, cell in enumerate(cx.cells[n]):
+                for positions, sub_shape, sign, _ in _shape_rule(cell.shape)[1]:
+                    fac, csign = canonical_with_sign(sub_shape, [cell.grid[p] for p in positions])
+                    entries[index[fac], j] = sign * csign
+            return IntMatrix(len(index), len(cx.cells[n]), entries)
+
+        @settings(max_examples=30, deadline=None)
+        @given(st.randoms(use_true_random=False), st.integers(2, 8), st.integers(1, 5),
+               st.integers(1, 40))
+        def check(rng, size, max_dim, run):
+            built = fixed + [build_complex(_random_consistent_digraph(rng, size), max_dim)]
+            with pytest.MonkeyPatch.context() as mp:
+                # short runs of a shape, so runs end inside a shape too
+                mp.setattr(cells_module, "_shape_chunks", partial(shape_chunks, size=run))
+                for cx in built:
+                    cells = {d: rng.sample(cs, len(cs)) for d, cs in cx.cells.items()}
+                    shuffled = ChainComplex(cx.graph, cx.max_dim, cells)
+                    for n in range(1, cx.max_dim + 1):
+                        assert shuffled.boundary_matrix(n) == oracle(shuffled, n), n
+                        shapes = [c.shape for c in cells[n]]
+                        runs = 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
+                        if shapes and runs > len(set(shapes)):
+                            interleaved.add(n)
+                        seen_ties.update(len(ties.tied) for c in cells[n]
+                                         for *_, ties in _shape_rule(c.shape)[1] if ties)
+
+        check()
+        assert {2, 3, 4} <= seen_ties
+        assert {2, 3} <= interleaved
+
+    def test_missing_facet_names_the_facet_and_the_cell(self):
+        # a whole triangle comes first, so the square must be searched for
+        g = Digraph(list("abcdxyz"), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"),
+                                      ("x", "y"), ("y", "z"), ("x", "z")])
+        triangle = Cell((2,), ("x", "y", "z"))
+        square = Cell((1, 1), ("a", "b", "c", "d"))
+        edges = [Cell((1,), e) for e in sorted(g.edges) if e != ("b", "d")]
+        cells = {0: [Cell((), (v,)) for v in sorted(g.vertices)], 1: edges,
+                 2: [triangle, square]}
+        cx = ChainComplex(g, 2, cells)
+        with pytest.raises(InconsistentComplexError) as exc:
+            cx.boundary_matrix(2)
+        message = str(exc.value)
+        assert repr(Cell((1,), ("b", "d"))) in message and repr(square) in message

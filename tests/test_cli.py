@@ -184,6 +184,24 @@ class TestTable:
         assert "computing tangled cord n=9" in err
         assert "computing" not in out
 
+    def test_progress_comes_before_the_work(self, capsys, monkeypatch):
+        # each stderr line announces a phase before it runs, not after
+        seen = []
+
+        def recording(fn):
+            def call(*args):
+                seen.append(capsys.readouterr().err)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(cli, "build_complex", recording(cli.build_complex))
+        monkeypatch.setattr(cli, "homology_summaries", recording(cli.homology_summaries))
+        code, out, err = run(capsys, "table", "9")
+        assert code == 0 and out.startswith("n\tword")
+        assert seen == ["table: computing tangled cord n=9\n",
+                        "table: homology of n=2..9, one reduction per degree\n"]
+        assert err == ""
+
     def test_budget_between_rows_keeps_finished_rows(self, capsys, monkeypatch):
         check = cli._Budget.check
 
@@ -281,14 +299,18 @@ class TestVerify:
                                     "suite snf: SKIPPED (budget exceeded)"]
 
     def test_boundary_not_squaring_to_zero_fails(self, capsys, monkeypatch):
+        # every cell's first facet gets the wrong sign, injected into the
+        # facet rule that boundary assembly reads, tie tables included
         from prodsim import cells
-        facets = cells.facets
+        shape_rule = cells._shape_rule
 
-        def flipped(cell):
-            (fac, sign), *rest = facets(cell)
-            return [(fac, -sign), *rest]
+        def flipped(shape):
+            axes, ((positions, sub_shape, sign, ties), *rest) = shape_rule(shape)
+            if ties is not None:
+                ties = cells._Ties(sub_shape, positions, -sign, ties.tied)
+            return axes, ((positions, sub_shape, -sign, ties), *rest)
 
-        monkeypatch.setattr(cells, "facets", flipped)
+        monkeypatch.setattr(cells, "_shape_rule", flipped)
         code, out, _ = run(capsys, "verify", "--suite", "snf", "--suite", "boundary",
                            "--cases", "15")
         assert code == 1

@@ -1,0 +1,8 @@
+"""`python -m prodsim ...` runs the `prodsim` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

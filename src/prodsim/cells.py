@@ -16,7 +16,7 @@ import functools
 import json
 from collections import defaultdict
 from itertools import compress, repeat
-from operator import itemgetter, lt, not_
+from operator import and_, invert, itemgetter, lshift, lt, not_, or_
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -231,7 +231,16 @@ def _partitions(n, max_part=None):
     return out
 
 
-def _add_layer(shape, smaller, fwd, adj):
+def _fold(op, columns):
+    """``op`` folded across the columns, grid by grid."""
+    columns = iter(columns)
+    out = next(columns)
+    for col in columns:
+        out = map(op, out, col)
+    return list(out)
+
+
+def _add_layer(shape, smaller, fwd, adj, size=1024):
     """Canonical grids of every cell of ``shape``, grown from ``smaller``,
     the canonical grids of its predecessor: S+(m-1) for S+(m), or S when
     m = 1.  Dropping the last vertex of a canonical cell's last factor
@@ -245,54 +254,59 @@ def _add_layer(shape, smaller, fwd, adj):
     vertices exactly as the first layer is joined.  When S ends in a factor
     of dimension m too, the grown factor must sort after it, so each cell
     is found once and already canonical.
+
+    The rows' candidate masks are worked out a grid position at a time, over
+    runs of at most ``size`` grids; only grids with a candidate in every row
+    are searched, one at a time.
     """
     m = shape[-1]
     tie = len(shape) > 1 and shape[-2] == m
+    if tie and m > 1:
+        smaller = [grid for grid in smaller if grid[1] > grid[m]]
+    bit = [1 << v for v in range(len(fwd))]
     found = []
-    for grid in smaller:
-        if tie and m > 1 and grid[1] < grid[m]:
-            continue
-        rows = [grid[i:i + m] for i in range(0, len(grid), m)]
-        used = 0
-        row_adj = []
-        for row in rows:
-            seen = 0
-            for v in row:
-                seen |= adj[v]
-                used |= 1 << v
-            row_adj.append(seen)
-        base = []
-        for t, row in enumerate(rows):
-            cand = ~used
-            for v in row:
-                cand &= fwd[v]
-            for t2, seen in enumerate(row_adj):
-                if t2 != t:
-                    cand &= ~seen
-            base.append(cand)
-        if tie and m == 1:
-            base[0] &= -2 << grid[1]
-        if not all(base):
-            continue
-        first = [row[0] for row in rows]
-        linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
-        new = [0] * len(rows)
-
-        def assign(t):
-            if t == len(rows):
-                found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
-                return
-            cand = base[t]
-            for y, link in zip(new, linked[t]):
-                cand &= fwd[y] if link else ~(adj[y] | 1 << y)
-            while cand:
-                low = cand & -cand
-                new[t] = low.bit_length() - 1
-                assign(t + 1)
-                cand ^= low
-
-        assign(0)
+    for start in range(0, len(smaller), size):
+        run = smaller[start:start + size]
+        cols = list(zip(*run))
+        rows = [cols[i:i + m] for i in range(0, len(cols), m)]
+        # per row: the one-way out-neighbours of all its vertices, and the
+        # vertices adjacent to none of them
+        outs = [_fold(and_, (map(fwd.__getitem__, col) for col in row)) for row in rows]
+        apart = [list(map(invert, _fold(or_, (map(adj.__getitem__, col) for col in row))))
+                 for row in rows]
+        free = list(map(invert, _fold(or_, (map(bit.__getitem__, col) for col in cols))))
+        masks = [_fold(and_, [free, outs[t], *apart[:t], *apart[t + 1:]])
+                 for t in range(len(rows))]
+        if tie and m == 1:  # the first new vertex must sort after the grid's second
+            masks[0] = list(map(and_, masks[0], map(lshift, repeat(-2), cols[1])))
+        masks = list(zip(*masks))
+        for grid, base in compress(zip(run, masks), map(all, masks)):
+            _search(grid, m, base, fwd, adj, found)
     return found
+
+
+def _search(grid, m, base, fwd, adj, found):
+    """Append to ``found`` every grid that grows ``grid`` by one new vertex
+    per row of m, the t-th drawn from ``base[t]``."""
+    rows = [grid[i:i + m] for i in range(0, len(grid), m)]
+    first = [row[0] for row in rows]
+    linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
+    new = [0] * len(rows)
+
+    def assign(t):
+        if t == len(rows):
+            found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
+            return
+        cand = base[t]
+        for y, link in zip(new, linked[t]):
+            cand &= fwd[y] if link else ~(adj[y] | 1 << y)
+        while cand:
+            low = cand & -cand
+            new[t] = low.bit_length() - 1
+            assign(t + 1)
+            cand ^= low
+
+    assign(0)
 
 
 class ChainComplex:
@@ -300,13 +314,16 @@ class ChainComplex:
 
     Cell lists are sorted, so the index maps and matrices are byte-identical
     across runs.  ``complete`` records whether the graph provably has no
-    cells above ``max_dim``.
+    cells above ``max_dim``.  ``births``, when the cells are ordered by
+    birth (see `build_complex`), lists each dimension's births in the same
+    order.
     """
 
-    def __init__(self, graph: Digraph, max_dim: int, cells):
+    def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
         self.graph = graph
         self.max_dim = max_dim
         self.cells = cells
+        self.births = births
         self.index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cells.items()}
         self._matrices = {}
         self.boundary_checked = False
@@ -368,13 +385,42 @@ class ChainComplex:
         self.boundary_checked = True
 
 
-def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
+def _ordered(groups, born, labels=None):
+    """One dimension's cells from (shape, grids) groups, and their births.
+
+    Grids hold vertex labels, or indices into the sorted ``labels``, which
+    sort as the labels do.  The cells come sorted by (birth, cell) when
+    ``born`` maps each grid entry to its birth, by cell with no births
+    otherwise.
+    """
+    if born is None:
+        births = None
+        keyed = ((shape, grid) for shape, grids in sorted(groups, key=itemgetter(0))
+                 for grid in sorted(grids))
+    else:
+        keyed = sorted((max(map(born.__getitem__, grid)), shape, grid)
+                       for shape, grids in groups for grid in grids)
+        births = [b for b, _, _ in keyed]
+        keyed = ((shape, grid) for _, shape, grid in keyed)
+    if labels is None:
+        return [Cell(shape, grid) for shape, grid in keyed], births
+    return [Cell(shape, tuple(map(labels.__getitem__, grid))) for shape, grid in keyed], births
+
+
+def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     """Assemble the prodsimplicial complex of a digraph through max_dim.
 
     Dimension 0 holds every vertex and dimension 1 every edge; higher cells
     are simplices and products detected under the induced-subgraph rule.
     Facets of detected cells are always detected themselves, so the result
     is closed under faces by construction.
+
+    ``birth``, a {vertex: int} map, orders each dimension by (birth, cell)
+    instead of by cell, where a cell is born with the latest vertex on its
+    grid, and the complex's ``births`` list them in that order.  Under the
+    induced-subgraph rule the cells born by t are the complex of the
+    subgraph on the vertices born by t: a face-closed prefix of every
+    dimension.
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
@@ -384,14 +430,10 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
     inn = [sum(1 << index[w] for w in g.inn(v)) for v in labels]
     fwd = [o & ~i for o, i in zip(out, inn)]
     adj = [o | i for o, i in zip(out, inn)]
-    cells = {
-        0: [Cell((), (v,)) for v in labels],
-        1: [Cell((1,), e) for e in sorted(g.edges)],
-    }
-    cells.update((n, []) for n in range(2, max_dim + 1))
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
     # cell, so the (1,) grids are the one-way edges only
     by_shape = {(): [(v,) for v in range(len(labels))]}
+    groups = {}
     for n in range(1, max_dim + 1):
         shapes = _partitions(n)
         for shape in shapes:
@@ -400,9 +442,14 @@ def build_complex(g: Digraph, max_dim: int = 3) -> ChainComplex:
         if not any(by_shape[shape] for shape in shapes):
             break  # every cell of dimension n + 1 grows from one of these
         if n > 1:
-            cells[n] = sorted(Cell(shape, tuple(labels[v] for v in grid))
-                              for shape in shapes for grid in by_shape[shape])
-    return ChainComplex(g, max_dim, cells)
+            groups[n] = [(shape, by_shape[shape]) for shape in shapes]
+    born = None if birth is None else [birth[v] for v in labels]
+    cells, births = {}, {}
+    cells[0], births[0] = _ordered([((), [(v,) for v in labels])], birth)
+    cells[1], births[1] = _ordered([((1,), g.edges)], birth)
+    for n in range(2, max_dim + 1):
+        cells[n], births[n] = _ordered(groups.get(n, ()), born, labels)
+    return ChainComplex(g, max_dim, cells, None if birth is None else births)
 
 
 def complex_to_json_obj(cx: ChainComplex) -> dict:

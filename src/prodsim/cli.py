@@ -17,8 +17,15 @@ import sys
 import time
 
 from . import constructions
-from .cells import ChainComplex, InconsistentComplexError, build_complex
-from .digraph import Digraph, cartesian_product, is_isomorphic, to_dot, to_json_obj
+from .cells import InconsistentComplexError, build_complex
+from .digraph import (
+    Digraph,
+    cartesian_product,
+    is_isomorphic,
+    longest_path_length,
+    to_dot,
+    to_json_obj,
+)
 from .dow import (
     Dow,
     concat,
@@ -193,25 +200,6 @@ def _tangled_births(g: Digraph, n_max: int) -> dict:
     return birth
 
 
-def _birth_ordered(cx: ChainComplex, birth: dict):
-    """cx with each dimension's cells in (birth, cell) order, where a cell is
-    born with the latest vertex on its grid, and each dimension's births in
-    that order.
-
-    Under the induced-subgraph rule the cells of the subgraph on the vertices
-    born by n are exactly the cells born by n, a face-closed prefix of every
-    dimension.  The cell lists are sorted, so a stable sort by birth alone
-    gives the (birth, cell) order.
-    """
-    cells, births = {}, {}
-    for d, cs in cx.cells.items():
-        born = [max(map(birth.__getitem__, c.grid)) for c in cs]
-        order = sorted(range(len(cs)), key=born.__getitem__)
-        births[d] = [born[i] for i in order]
-        cells[d] = [cs[i] for i in order]
-    return ChainComplex(cx.graph, cx.max_dim, cells), births
-
-
 def _born_by(births: dict, n) -> dict:
     """Per dimension, the number of cells born by n: a prefix size."""
     return {d: bisect.bisect_right(bs, n) for d, bs in births.items()}
@@ -231,13 +219,13 @@ def cmd_table(args) -> int:
         budget.check("before the complex")
         print(f"table: computing tangled cord n={args.n_max}", file=sys.stderr)
         g = rooted_word_graph(tangled_cord(args.n_max)).graph
-        cx = build_complex(g, 3)  # beta2 is exact with cells through dim 3
-        cx, births = _birth_ordered(cx, _tangled_births(g, args.n_max))
+        # beta2 is exact with cells through dim 3
+        cx = build_complex(g, 3, _tangled_births(g, args.n_max))
         budget.check("before the homology")
         print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
               file=sys.stderr)
         ns = range(2, args.n_max + 1)
-        summaries = homology_summaries(cx, [_born_by(births, n) for n in ns])
+        summaries = homology_summaries(cx, [_born_by(cx.births, n) for n in ns])
         for n, summary in zip(ns, summaries):
             budget.check(f"before row n={n}")
             budget.check(f"after row n={n}")
@@ -331,8 +319,31 @@ def _suite_product(rng, cases):
                                   rooted_word_graph(w2).graph)
         if not is_isomorphic(gcat, gprod):
             return False, f"concatenation graph is not the product graph for {w1!r}, {w2!r}"
+        if _rational_betti(gcat) != _convolve(_rational_betti(rooted_word_graph(w1).graph),
+                                             _rational_betti(rooted_word_graph(w2).graph)):
+            return False, f"concatenation homology breaks the Kunneth formula for {w1!r}, {w2!r}"
         done += 1
     return True, f"{done} coprime pairs, concatenation graph = product graph"
+
+
+def _rational_betti(g: Digraph) -> list:
+    """The rational Betti numbers of g's whole complex, built through its
+    longest path, by degree up to the last nonzero one."""
+    cx = build_complex(g, max(1, longest_path_length(g)))
+    betti = homology_summary(cx, max_deg=cx.max_dim).betti
+    out = [betti[n] for n in range(cx.max_dim + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _convolve(a, b) -> list:
+    """Betti numbers of a product over the rationals (Kunneth)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _suite_snf(rng, cases):

@@ -19,11 +19,12 @@ from prodsim import (
     global_word_graph,
     parse_word,
     rooted_word_graph,
+    tangled_cord,
     three_square_sphere,
     tennis_sphere,
 )
 from prodsim.cells import _block_sign, _partitions, _positions, _shape_rule, complex_to_json
-from prodsim.cli import _random_consistent_digraph
+from prodsim.cli import _random_consistent_digraph, _tangled_births
 
 
 def canonical_with_sign(shape, grid):
@@ -58,6 +59,13 @@ def cube_graph():
     return cartesian_product(cartesian_product(e, e), e)
 
 
+def product(*graphs):
+    g = graphs[0]
+    for h in graphs[1:]:
+        g = cartesian_product(g, h)
+    return g
+
+
 def count_squares_brute(g):
     """Oracle: four-vertex subsets whose induced subgraph is exactly the
     square digraph s -> a, s -> b, a -> t, b -> t."""
@@ -77,6 +85,110 @@ def cells_by_factor_count(g, max_dim, simplices):
     cx = build_complex(g, max_dim)
     return {d: [c for c in cs if (len(c.shape) <= 1) == simplices]
             for d, cs in cx.cells.items()}
+
+
+def add_layer_per_grid(shape, smaller, fwd, adj):
+    """Oracle: the layer search of `cells._add_layer`, each predecessor
+    grid's row masks worked out on their own."""
+    m = shape[-1]
+    tie = len(shape) > 1 and shape[-2] == m
+    found = []
+    for grid in smaller:
+        if tie and m > 1 and grid[1] < grid[m]:
+            continue
+        rows = [grid[i:i + m] for i in range(0, len(grid), m)]
+        used = 0
+        row_adj = []
+        for row in rows:
+            seen = 0
+            for v in row:
+                seen |= adj[v]
+                used |= 1 << v
+            row_adj.append(seen)
+        base = []
+        for t, row in enumerate(rows):
+            cand = ~used
+            for v in row:
+                cand &= fwd[v]
+            for t2, seen in enumerate(row_adj):
+                if t2 != t:
+                    cand &= ~seen
+            base.append(cand)
+        if tie and m == 1:
+            base[0] &= -2 << grid[1]
+        if not all(base):
+            continue
+        first = [row[0] for row in rows]
+        linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
+        new = [0] * len(rows)
+
+        def assign(t):
+            if t == len(rows):
+                found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
+                return
+            cand = base[t]
+            for y, link in zip(new, linked[t]):
+                cand &= fwd[y] if link else ~(adj[y] | 1 << y)
+            while cand:
+                low = cand & -cand
+                new[t] = low.bit_length() - 1
+                assign(t + 1)
+                cand ^= low
+
+        assign(0)
+    return found
+
+
+def random_digraph_with_2_cycles(rng, n):
+    vs = [f"v{i}" for i in range(n)]
+    edges = []
+    for i, j in combinations(range(n), 2):
+        r = rng.random()
+        if r < 0.55:
+            edges.append((vs[i], vs[j]))
+        if 0.45 < r < 0.65:
+            edges.append((vs[j], vs[i]))
+    return Digraph(vs, edges)
+
+
+class TestCellSearch:
+    def test_runs_match_the_per_grid_search(self):
+        # the row masks of a run of predecessor grids are worked out a grid
+        # position at a time; every layer must find the grids, in the order,
+        # that the per-grid search finds, whatever the run length
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        import prodsim.cells as cells_module
+
+        add_layer = cells_module._add_layer
+        e, tri = edge_graph(), simplex_digraph(2)
+        fixed = [product(tri, tri), product(e, e, e, e), product(tri, e, e),
+                 product(simplex_digraph(3), e), product(tri, tri, e), simplex_digraph(4)]
+        grown = set()
+
+        def layer(run):
+            def checked(shape, smaller, fwd, adj):
+                found = add_layer(shape, smaller, fwd, adj, size=run)
+                assert found == add_layer_per_grid(shape, smaller, fwd, adj), shape
+                if found:
+                    grown.add(shape)
+                return found
+            return checked
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.randoms(use_true_random=False), st.integers(3, 9), st.integers(1, 40))
+        def check(rng, size, run):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cells_module, "_add_layer", layer(run))
+                for g in fixed + [random_digraph_with_2_cycles(rng, size)]:
+                    build_complex(g, 5)
+
+        check()
+        assert {(2, 2), (1, 1, 1, 1)} <= grown
+        assert any(len(s) > 1 and s[-2] == s[-1] == 1 for s in grown)  # m = 1 ties
+        assert any(len(s) > 1 and s[-2] == s[-1] > 1 for s in grown)  # m > 1 ties
 
 
 class TestSimplices:
@@ -290,6 +402,19 @@ class TestBuildComplex:
         for n in (1, 2):
             assert a.boundary_matrix(n).triplets() == b.boundary_matrix(n).triplets()
 
+    def test_birth_order_is_one_sort_by_birth_then_cell(self):
+        g = rooted_word_graph(tangled_cord(12)).graph
+        birth = _tangled_births(g, 12)
+        plain = build_complex(g, 3)
+        cx = build_complex(g, 3, birth)
+        assert plain.births is None
+        for d, cs in plain.cells.items():
+            born = {c: max(birth[v] for v in c.grid) for c in cs}
+            expected = sorted(cs, key=lambda c: (born[c], c))
+            assert cx.cells[d] == expected, d
+            assert cx.births[d] == [born[c] for c in expected], d
+            assert cx.index[d] == {c: i for i, c in enumerate(expected)}, d
+
     def test_cyclic_graph_accepted(self):
         g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
         cx = build_complex(g, 2)
@@ -430,12 +555,6 @@ class TestBoundaryMatrix:
         from hypothesis import strategies as st
 
         import prodsim.cells as cells_module
-
-        def product(*graphs):
-            g = graphs[0]
-            for h in graphs[1:]:
-                g = cartesian_product(g, h)
-            return g
 
         shape_chunks = cells_module._shape_chunks
         e = edge_graph()

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, error paths, determinism, budgets."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,21 @@ class TestVerify:
         assert out.splitlines() == ["suite failing: FAIL (injected failure)",
                                     "suite snf: SKIPPED (budget exceeded)"]
 
+    def test_product_suite_checks_the_kunneth_formula(self, capsys, monkeypatch):
+        # a homology one too large in degree 0 keeps every graph isomorphism
+        # but breaks the Kunneth formula: [2] is not the convolution [2] * [2]
+        real = cli.homology_summary
+
+        def off_by_one(cx, **kwargs):
+            summary = real(cx, **kwargs)
+            summary.betti[0] += 1
+            return summary
+
+        monkeypatch.setattr(cli, "homology_summary", off_by_one)
+        code, out, _ = run(capsys, "verify", "--suite", "product", "--cases", "3")
+        assert code == 1
+        assert out.startswith("suite product: FAIL (concatenation homology breaks the Kunneth")
+
     def test_boundary_not_squaring_to_zero_fails(self, capsys, monkeypatch):
         # every cell's first facet gets the wrong sign, injected into the
         # facet rule that boundary assembly reads, tie tables included
@@ -337,3 +356,17 @@ class TestNumericFlags:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--cases" in captured.err and captured.out == ""
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, capsys):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv, want in ((["table", "4"], 0), (["normalize", "121"], 2)):
+            done = subprocess.run([sys.executable, "-m", "prodsim", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            code, out, _ = run(capsys, *argv)
+            assert done.returncode == code == want
+            assert done.stdout == out
+            assert bool(out) == (want == 0)

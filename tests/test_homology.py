@@ -29,14 +29,13 @@ from prodsim import (
 )
 from prodsim.cells import InconsistentComplexError
 from prodsim.cli import (
-    _birth_ordered,
     _born_by,
     _random_consistent_digraph,
     _random_matrix,
     _tangled_births,
 )
 from prodsim.digraph import longest_path_length
-from prodsim.homology import _rows, _snf
+from prodsim.homology import SnfResult, _rows, _snf, _unit_pass
 
 
 def _det(rows):
@@ -167,6 +166,42 @@ class TestSnf:
         assert [snf(cx.boundary_matrix(n)).rank for n in (1, 2, 3)] == [88, 250, 317]
 
 
+def test_unit_pass_keeps_the_column_index_exact():
+    # after the pass every column's index holds exactly the rows that hold
+    # the column, and no pivoted column is indexed; small entries make
+    # cancellations common
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 14), st.integers(1, 14),
+           st.floats(0.2, 0.7))
+    def check(rng, nrows, ncols, density):
+        rows = {}
+        for r in range(nrows):
+            row = {c: rng.choice((-2, -1, 1, 1, 2)) for c in range(ncols) if rng.random() < density}
+            if row:
+                rows[r] = row
+        cols = {}
+        for r, row in rows.items():
+            for c in row:
+                cols.setdefault(c, []).append(r)
+        m = IntMatrix.from_row_dicts(nrows, ncols, {r: dict(row) for r, row in rows.items()})
+        pivots, stuck = _unit_pass(rows, cols, [c for c in cols if rng.random() < 0.8])
+        held = {}
+        for r, row in rows.items():
+            for c in row:
+                held.setdefault(c, set()).add(r)
+        assert {c: set(rs) for c, rs in cols.items() if rs} == held
+        assert all(len(set(rs)) == len(rs) for rs in cols.values())
+        assert not set(pivots) & set(cols)
+        assert not set(pivots) & set(stuck)
+        assert snf(m) == SnfResult((1,) * len(pivots) + _snf(rows).invariant_factors)
+
+    check()
+
+
 def test_clearing_keeps_every_smith_form(monkeypatch):
     # homology_summary leaves out the rows of d_{n+1} that d_n's +-1 pivots
     # paired; every cleared Smith form must equal the plain one of the same
@@ -199,8 +234,8 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
     assert sum(cleared_rows) > 0
     # the table's path: one pass over every birth block of G_11
     g = rooted_word_graph(tangled_cord(11)).graph
-    cx, births = _birth_ordered(build_complex(g, 3), _tangled_births(g, 11))
-    homology_summaries(cx, [_born_by(births, n) for n in range(2, 12)])
+    cx = build_complex(g, 3, _tangled_births(g, 11))
+    homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 12)])
     assert len(multi_cut_rows) == 3 and sum(multi_cut_rows) > 0
 
 
@@ -371,10 +406,10 @@ def test_tangled_prefixes_match_per_n_complexes():
     # complex, so every prefix summary (betti, torsion, euler, cell counts)
     # is the per-n summary
     g = rooted_word_graph(tangled_cord(12)).graph
-    cx, births = _birth_ordered(build_complex(g, 3), _tangled_births(g, 12))
-    one_pass = homology_summaries(cx, [_born_by(births, n) for n in range(2, 13)])
+    cx = build_complex(g, 3, _tangled_births(g, 12))
+    one_pass = homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 13)])
     for n in range(2, 13):
-        prefix = homology_summary(cx, counts=_born_by(births, n))
+        prefix = homology_summary(cx, counts=_born_by(cx.births, n))
         per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
         assert prefix == per_n, n
         assert prefix.torsion[2] == ([2] if n >= 10 else []), n

@@ -10,7 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prodsim import Digraph, build_complex, homology_summaries, homology_summary  # noqa: E402
-from prodsim.cli import _birth_ordered, _born_by, _random_consistent_digraph  # noqa: E402
+from prodsim.cli import _born_by, _random_consistent_digraph  # noqa: E402
 
 
 @settings(max_examples=30, deadline=None)
@@ -22,7 +22,8 @@ def test_birth_prefixes_are_induced_subcomplexes(seed, size, births):
     # and each prefix has the homology of that subgraph built afresh
     g = _random_consistent_digraph(random.Random(seed), size)
     birth = {v: births[i] for i, v in enumerate(sorted(g.vertices))}
-    cx, cell_births = _birth_ordered(build_complex(g, 3), birth)
+    cx = build_complex(g, 3, birth)
+    cell_births = cx.births
     # the table's path: every prefix's summary from one reduction per degree
     one_pass = homology_summaries(cx, [_born_by(cell_births, t) for t in range(-1, 5)])
     for t in range(-1, 5):

@@ -16,7 +16,7 @@ import functools
 import json
 from collections import defaultdict
 from itertools import compress, repeat
-from operator import and_, invert, itemgetter, lshift, lt, not_, or_
+from operator import and_, invert, itemgetter, lshift, lt, or_
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -79,45 +79,40 @@ def _shape_rule(shape):
 class _Ties:
     """How a cell's labels order a facet's equal-dimension factors.
 
-    ``seconds`` holds the cell-grid positions of the tied factors' second
-    vertices; the grid is injective and every axis starts at the origin, so
-    those labels decide.  Each order of the tied factors has its own facet
-    positions on the cell grid and sign: for two factors both are tabled up
-    front and one label comparison per cell picks (see `_facet_plan`), for
-    three or more a small sort names the order and the table fills as
-    orders occur.
+    ``pairs`` lists every pair of tied factors of equal dimension, and
+    ``seconds`` the cell-grid positions of the two factors' second vertices,
+    pair by pair; the grid is injective and every axis starts at the
+    origin, so those labels decide.  A cell's comparison pattern holds one flag per pair, true when
+    the later factor's label is the smaller, and names the order of the tied
+    factors; `entry` tables each pattern's facet positions on the cell grid
+    and its sign as patterns occur (see `_facet_plan`).
     """
 
-    __slots__ = ("shape", "positions", "sign", "tied", "groups", "seconds", "orders")
+    __slots__ = ("shape", "positions", "sign", "tied", "pairs", "seconds", "orders")
 
     def __init__(self, shape, positions, sign, tied):
         self.shape, self.positions, self.sign, self.tied = shape, positions, sign, tied
-        self.groups = tuple(-shape[f] for f in tied)
+        self.pairs = tuple((a, b) for a in tied for b in tied if a < b and shape[a] == shape[b])
         axes = _shape_rule(shape)[0]
-        self.seconds = tuple(positions[axes[f][1]] for f in tied)
-        self.orders = ((self._entry(tied), self._entry(tied[::-1])) if len(tied) == 2
-                       else {})
+        self.seconds = tuple((positions[axes[a][1]], positions[axes[b][1]])
+                             for a, b in self.pairs)
+        self.orders = {}
 
-    def _entry(self, order):
-        """Facet positions and sign with the tied factors in ``order``."""
-        full = list(range(len(self.shape)))
-        for slot, f in zip(self.tied, order):
-            full[slot] = f
-        axes = _shape_rule(self.shape)[0]
-        walk = _positions([axes[f] for f in full])
-        return (tuple(self.positions[q] for q in walk),
-                self.sign * _block_sign(self.shape, full))
-
-    def settle(self, grid):
-        """The facet's positions on ``grid`` and its sign, for three or more
-        tied factors (`_facet_plan` splits two by one comparison)."""
-        # groups keep unequal dimensions apart; labels are distinct, so the
-        # factor index never decides
-        order = tuple(f for _, _, f in sorted(zip(self.groups, [grid[p] for p in self.seconds],
-                                                  self.tied)))
-        entry = self.orders.get(order)
+    def entry(self, pattern):
+        """Facet positions and sign with the tied factors in the order that
+        the comparison ``pattern`` names."""
+        entry = self.orders.get(pattern)
         if entry is None:
-            entry = self.orders[order] = self._entry(order)
+            # a flipped pair moves its first factor a slot later, its second one earlier
+            slot = list(range(len(self.shape)))
+            for (a, b), flip in zip(self.pairs, pattern):
+                slot[a] += flip
+                slot[b] -= flip
+            order = sorted(range(len(slot)), key=slot.__getitem__)
+            axes = _shape_rule(self.shape)[0]
+            walk = _positions([axes[f] for f in order])
+            entry = self.orders[pattern] = (tuple(self.positions[q] for q in walk),
+                                            self.sign * _block_sign(self.shape, order))
         return entry
 
 
@@ -164,23 +159,22 @@ def _facet_plan(shape, names, grids):
 
     ``names`` name the cells whose grids are ``grids``, in the same order.
     Yields (names, sub-shape, sign, facet grids), one name per facet grid.
-    A rule without ties gathers every facet grid at its positions; two tied
-    factors split the cells by one label comparison between the orders
-    `_Ties` tables up front; three or more are settled cell by cell.
+    A rule without ties gathers every facet grid at its positions.  A rule
+    with ties compares each cell's labels one tied pair at a time, splits
+    the cells by comparison pattern, in sorted order, and gathers each part
+    at the positions `_Ties` tables for its pattern.
     """
     for positions, sub_shape, sign, ties in _shape_rule(shape)[1]:
         if ties is None:
             yield names, sub_shape, sign, _gather(positions, grids)
-        elif len(ties.tied) == 2:
-            a, b = ties.seconds
-            flips = list(map(lt, map(itemgetter(b), grids), map(itemgetter(a), grids)))
-            for keep, (positions, sign) in zip((list(map(not_, flips)), flips), ties.orders):
+        else:
+            patterns = list(zip(*[map(lt, map(itemgetter(b), grids), map(itemgetter(a), grids))
+                                  for a, b in ties.seconds]))
+            for pattern in sorted(set(patterns)):
+                keep = list(map(pattern.__eq__, patterns))
+                positions, sign = ties.entry(pattern)
                 yield (compress(names, keep), sub_shape, sign,
                        _gather(positions, compress(grids, keep)))
-        else:
-            for j, grid in zip(names, grids):
-                positions, sign = ties.settle(grid)
-                yield (j,), sub_shape, sign, _gather(positions, (grid,))
 
 
 def _shape_chunks(cols, size=1024):
@@ -287,26 +281,34 @@ def _add_layer(shape, smaller, fwd, adj, size=1024):
 
 def _search(grid, m, base, fwd, adj, found):
     """Append to ``found`` every grid that grows ``grid`` by one new vertex
-    per row of m, the t-th drawn from ``base[t]``."""
+    per row of m, the t-th drawn from ``base[t]``.
+
+    A depth-first search: ``cands[t]`` holds row t's candidates not yet
+    tried under the new vertices of rows before it, lowest vertex first.
+    """
     rows = [grid[i:i + m] for i in range(0, len(grid), m)]
     first = [row[0] for row in rows]
     linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
+    last = len(rows) - 1
     new = [0] * len(rows)
-
-    def assign(t):
-        if t == len(rows):
+    cands = [base[0]] + [0] * last
+    t = 0
+    while t >= 0:
+        cand = cands[t]
+        if not cand:
+            t -= 1
+            continue
+        low = cand & -cand
+        cands[t] = cand ^ low
+        new[t] = low.bit_length() - 1
+        if t == last:
             found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
-            return
+            continue
+        t += 1
         cand = base[t]
         for y, link in zip(new, linked[t]):
             cand &= fwd[y] if link else ~(adj[y] | 1 << y)
-        while cand:
-            low = cand & -cand
-            new[t] = low.bit_length() - 1
-            assign(t + 1)
-            cand ^= low
-
-    assign(0)
+        cands[t] = cand
 
 
 class ChainComplex:
@@ -385,13 +387,12 @@ class ChainComplex:
         self.boundary_checked = True
 
 
-def _ordered(groups, born, labels=None):
+def _ordered(groups, born, labels):
     """One dimension's cells from (shape, grids) groups, and their births.
 
-    Grids hold vertex labels, or indices into the sorted ``labels``, which
-    sort as the labels do.  The cells come sorted by (birth, cell) when
-    ``born`` maps each grid entry to its birth, by cell with no births
-    otherwise.
+    Grids hold indices into the sorted ``labels``, which sort as the labels
+    do.  The cells come sorted by (birth, cell) when ``born`` maps each
+    index to its birth, by cell with no births otherwise.
     """
     if born is None:
         births = None
@@ -402,8 +403,6 @@ def _ordered(groups, born, labels=None):
                        for shape, grids in groups for grid in grids)
         births = [b for b, _, _ in keyed]
         keyed = ((shape, grid) for _, shape, grid in keyed)
-    if labels is None:
-        return [Cell(shape, grid) for shape, grid in keyed], births
     return [Cell(shape, tuple(map(labels.__getitem__, grid))) for shape, grid in keyed], births
 
 
@@ -431,9 +430,11 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     fwd = [o & ~i for o, i in zip(out, inn)]
     adj = [o | i for o, i in zip(out, inn)]
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
-    # cell, so the (1,) grids are the one-way edges only
+    # cell, so the (1,) grids that grow the higher cells are the one-way
+    # edges only, while dimension 1 holds every edge
     by_shape = {(): [(v,) for v in range(len(labels))]}
-    groups = {}
+    groups = {0: [((), by_shape[()])],
+              1: [((1,), [(index[u], index[v]) for u, v in g.edges])]}
     for n in range(1, max_dim + 1):
         shapes = _partitions(n)
         for shape in shapes:
@@ -445,9 +446,7 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
             groups[n] = [(shape, by_shape[shape]) for shape in shapes]
     born = None if birth is None else [birth[v] for v in labels]
     cells, births = {}, {}
-    cells[0], births[0] = _ordered([((), [(v,) for v in labels])], birth)
-    cells[1], births[1] = _ordered([((1,), g.edges)], birth)
-    for n in range(2, max_dim + 1):
+    for n in range(max_dim + 1):
         cells[n], births[n] = _ordered(groups.get(n, ()), born, labels)
     return ChainComplex(g, max_dim, cells, None if birth is None else births)
 

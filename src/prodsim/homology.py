@@ -72,8 +72,9 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     +-1 pivots of the k-th cut, whose later rows are zero on their columns,
     so the working rows cut at block k's columns are a unimodular Schur
     complement of that cut: its Smith form is the units so far plus `_snf`
-    of a copy of the leftover columns.  The last cut's leftover is reduced in
-    place; with one cut this is a single unit pass and Smith loop.
+    of a copy of the leftover columns, the last cut's included (at most
+    about 100 columns on `table 16`); with one cut this is a single unit
+    pass and Smith loop.
 
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
@@ -95,7 +96,7 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     units = 0
     stuck = []
     r0 = c0 = 0
-    for k, (nr, nc) in enumerate(cuts):
+    for nr, nc in cuts:
         if nr < r0 or nc < c0:
             raise ValueError(f"cut {(nr, nc)} does not contain the cut {(r0, c0)} before it")
         for r, row in _rows(m, cleared, range(r0, nr), ncols).items():
@@ -108,8 +109,7 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
         units += len(pivots)
         if paired is not None:
             paired.update(c for c in pivots if c >= c0)
-        last = k == len(cuts) - 1
-        rest = _snf(rows if last else _leftover(rows, cols, stuck))
+        rest = _snf(_leftover(rows, cols, stuck))
         if by_cut is not None:
             by_cut.append((units + rest.rank, tuple(d for d in rest.invariant_factors if d != 1)))
         r0, c0 = nr, nc
@@ -325,32 +325,28 @@ class HomologySummary:
         return obj
 
 
-def homology_summary(cx: ChainComplex, max_deg: int | None = None, *,
-                     counts=None) -> HomologySummary:
+def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySummary:
     """Betti numbers and torsion for degrees 0..max_deg.
 
     beta_n = c_n - rank(d_n) - rank(d_{n+1}); torsion in degree n is the list
     of invariant factors of d_{n+1} exceeding 1.  Degrees whose exactness
     would need cells above the built dimension cap are flagged as truncated
     rather than silently reported.
-
-    ``counts``, a {dimension: k} map defaulting to every cell, restricts the
-    summary to the first k cells of each dimension, which must form a
-    subcomplex: the facets of every kept cell are kept too (see `snf`'s
-    ``cuts``).  Ranks and invariant factors do not depend on the order of
-    rows and columns, so the result is exact over Z, torsion included; cell
-    counts and the Euler characteristic are the prefix's.
     """
-    return homology_summaries(cx, [cx.counts() if counts is None else counts], max_deg)[0]
+    return homology_summaries(cx, [cx.counts()], max_deg)[0]
 
 
 def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     """`homology_summary` of each of nested subcomplexes, in one reduction.
 
-    ``cuts`` is a nonempty list of ``counts`` maps, each face-closed and
-    each holding the one before it in every dimension.  Every degree's
-    boundary matrix is reduced once, by one `snf` over all the cuts, and
-    clearing runs across degrees as for one cut.
+    ``cuts`` is a nonempty list of {dimension: k} maps, each naming the
+    first k cells of each dimension, each face-closed (the facets of every
+    kept cell are kept too, see `snf`'s ``cuts``) and each holding the one
+    before it in every dimension.  Every degree's boundary matrix is reduced
+    once, by one `snf` over all the cuts, and clearing runs across degrees
+    as for one cut.  Ranks and invariant factors do not depend on the order
+    of rows and columns, so each result is exact over Z, torsion included;
+    its cell counts and Euler characteristic are the prefix's.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)

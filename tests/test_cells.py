@@ -1,5 +1,6 @@
 """Cell detection, canonical orientation, boundary operator, face closure."""
 
+import gc
 import random
 from functools import partial
 from itertools import combinations, permutations
@@ -15,6 +16,7 @@ from prodsim import (
     IntMatrix,
     build_complex,
     cartesian_product,
+    enumerate_dows,
     facets,
     global_word_graph,
     parse_word,
@@ -189,6 +191,20 @@ class TestCellSearch:
         assert {(2, 2), (1, 1, 1, 1)} <= grown
         assert any(len(s) > 1 and s[-2] == s[-1] == 1 for s in grown)  # m = 1 ties
         assert any(len(s) > 1 and s[-2] == s[-1] > 1 for s in grown)  # m > 1 ties
+
+    def test_building_leaves_no_garbage_cycles(self):
+        # the search and the complex hold no reference cycles, so reference
+        # counting alone frees them and the cyclic collector finds nothing
+        words = random.Random(1).sample(enumerate_dows(6), 50)
+        graphs = [rooted_word_graph(w).graph for w in words]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                build_complex(g, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSimplices:

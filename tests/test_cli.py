@@ -206,23 +206,25 @@ class TestTable:
                         "table: homology of n=2..9, one reduction per degree\n"]
         assert err == ""
 
-    def test_budget_between_rows_keeps_finished_rows(self, capsys, monkeypatch):
+    def test_budget_after_the_homology_omits_every_row(self, capsys, monkeypatch):
+        # the rows are only formatted from the finished reduction, so the
+        # last check comes after it and an expiry there omits every row
         check = cli._Budget.check
+        labels = []
 
         def expiring(self, label):
-            if label == "before row n=4":
+            labels.append(label)
+            if label == "after the homology":
                 raise cli.BudgetExceeded(label)
             check(self, label)
 
         monkeypatch.setattr(cli._Budget, "check", expiring)
-        code, out, _ = run(capsys, "table", "6")
+        code, out, err = run(capsys, "table", "6")
         assert code == 3
-        assert out.splitlines() == [
-            "n\tword\tbeta1\tbeta2\tvertices",
-            "2\t1,2,1,2\t0\t0\t2",
-            "3\t1,2,1,3,2,3\t1\t0\t5",
-            "# budget exceeded; rows n>=4 omitted",
-        ]
+        assert labels == ["before the complex", "before the homology", "after the homology"]
+        assert "table: homology of n=2..6, one reduction per degree" in err
+        assert out.splitlines() == ["n\tword\tbeta1\tbeta2\tvertices",
+                                    "# budget exceeded; rows n>=2 omitted"]
 
     def test_budget_before_the_complex_omits_every_row(self, capsys):
         code, out, _ = run(capsys, "table", "6", "--budget", "0")

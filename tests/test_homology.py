@@ -409,7 +409,7 @@ def test_tangled_prefixes_match_per_n_complexes():
     cx = build_complex(g, 3, _tangled_births(g, 12))
     one_pass = homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 13)])
     for n in range(2, 13):
-        prefix = homology_summary(cx, counts=_born_by(cx.births, n))
+        prefix = homology_summaries(cx, [_born_by(cx.births, n)])[0]
         per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
         assert prefix == per_n, n
         assert prefix.torsion[2] == ([2] if n >= 10 else []), n

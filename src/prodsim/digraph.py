@@ -185,21 +185,21 @@ def glue_at_vertex(g: Digraph, h: Digraph, vg: str, vh: str) -> Digraph:
     return Digraph(vertices, edges)
 
 
+def _signature(graph: Digraph, colors, v):
+    return (colors[v],
+            tuple(sorted(colors[w] for w in graph.out(v))),
+            tuple(sorted(colors[w] for w in graph.inn(v))))
+
+
 def _joint_wl_colors(g: Digraph, h: Digraph):
     # refine both graphs against one shared color table so ids line up
     gc = {v: (len(g.inn(v)), len(g.out(v))) for v in g.vertices}
     hc = {v: (len(h.inn(v)), len(h.out(v))) for v in h.vertices}
     for _ in range(len(g.vertices)):
         interned = {}
-
-        def signature(graph, colors, v):
-            return (colors[v],
-                    tuple(sorted(colors[w] for w in graph.out(v))),
-                    tuple(sorted(colors[w] for w in graph.inn(v))))
-
-        ng = {v: interned.setdefault(signature(g, gc, v), len(interned))
+        ng = {v: interned.setdefault(_signature(g, gc, v), len(interned))
               for v in g.vertices}
-        nh = {v: interned.setdefault(signature(h, hc, v), len(interned))
+        nh = {v: interned.setdefault(_signature(h, hc, v), len(interned))
               for v in h.vertices}
         stable = len(set(ng.values()) | set(nh.values())) == \
             len(set(gc.values()) | set(hc.values()))
@@ -212,8 +212,10 @@ def _joint_wl_colors(g: Digraph, h: Digraph):
 def find_isomorphism(g: Digraph, h: Digraph):
     """A vertex bijection preserving edges both ways, or None.
 
-    Backtracking search pruned by iterated degree-refinement invariants;
-    candidate order is deterministic.
+    Backtracking search pruned by iterated degree-refinement invariants,
+    depth first over an explicit stack: ``cands[i]`` holds the images of
+    ``order[i]`` not yet tried, the lowest label last.  An image is kept
+    when the mapped neighbours of the vertex map onto its used neighbours.
     """
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
         return None
@@ -228,36 +230,29 @@ def find_isomorphism(g: Digraph, h: Digraph):
             sorted((c, len(vs)) for c, vs in h_classes.items()):
         return None
     # map smallest classes first; deterministic tie-break on labels
-    order = sorted(g.vertices, key=lambda v: (len(g_classes[gc[v]]), gc[v], v))
-    mapping = {}
-    used = set()
-
-    def compatible(v, w):
-        for u, x in mapping.items():
-            if g.has_edge(v, u) != h.has_edge(w, x):
-                return False
-            if g.has_edge(u, v) != h.has_edge(x, w):
-                return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return True
+    order = [v for _, _, v in sorted((len(g_classes[c]), c, v) for v, c in gc.items())]
+    mapping, used = {}, set()
+    cands = [None] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        for w in sorted(h_classes.get(gc[v], [])):
-            if w in used or not compatible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+        if v in mapping:  # back from order[i + 1]: free this image, try the next
+            used.discard(mapping.pop(v))
+        else:
+            cands[i] = sorted(h_classes[gc[v]], reverse=True)
+        while cands[i]:
+            w = cands[i].pop()
+            if (w not in used
+                    and {mapping[u] for u in g.out(v) if u in mapping} == h.out(w) & used
+                    and {mapping[u] for u in g.inn(v) if u in mapping} == h.inn(w) & used):
+                break
+        else:
+            i -= 1
+            continue
+        mapping[v] = w
+        used.add(w)
+        i += 1
+    return mapping if i == len(order) else None
 
 
 def is_isomorphic(g: Digraph, h: Digraph) -> bool:

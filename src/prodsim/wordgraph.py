@@ -15,8 +15,6 @@ from .dow import Dow, concat, format_word, successors
 
 def word_label(w: Dow) -> str:
     """Vertex label: comma-separated symbols, "e" for the empty word."""
-    if not w:
-        return "e"
     return format_word(w.symbols, commas=True)
 
 
@@ -56,29 +54,21 @@ def rooted_word_graph(d: Dow) -> WordGraph:
 
 
 def enumerate_dows(n: int) -> list[Dow]:
-    """All canonical double occurrence words of size exactly n, sorted."""
+    """All canonical double occurrence words of size exactly n, sorted.
+
+    The words of size k come from those of size k - 1: raise every symbol
+    by one, put a 1 first and the second 1 at each later position.  Deleting
+    both 1s of a canonical word and lowering the rest gives a canonical word
+    of size k - 1, so each word arises exactly once.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n == 0:
-        return [Dow()]
-    slots = [0] * (2 * n)
-    out = []
-
-    def place(k):
-        if k > n:
-            out.append(Dow(tuple(slots)))
-            return
-        first = slots.index(0)
-        slots[first] = k
-        for j in range(first + 1, 2 * n):
-            if slots[j] == 0:
-                slots[j] = k
-                place(k + 1)
-                slots[j] = 0
-        slots[first] = 0
-
-    place(1)
-    return sorted(out)
+    words = [()]
+    for k in range(1, n + 1):
+        words = [(1, *raised[:j], 1, *raised[j:])
+                 for raised in [tuple(s + 1 for s in w) for w in words]
+                 for j in range(2 * k - 1)]
+    return sorted(map(Dow, words))
 
 
 def global_word_graph(n: int) -> WordGraph:

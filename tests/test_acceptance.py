@@ -334,19 +334,6 @@ def test_criterion_6d_snf_oracles():
            "200 matrices verified (minor-gcd oracle on dims <= 5)")
 
 
-def test_criterion_6e_euler_identity(complex_corpus):
-    for cx in complex_corpus:
-        assert cx.complete
-        s = homology_summary(cx, max_deg=cx.max_dim)
-        lhs = sum((-1) ** d * c for d, c in s.cell_counts.items())
-        rhs = sum((-1) ** d * b for d, b in s.betti.items())
-        if not (lhs == rhs == s.euler):
-            report("#6e (Euler identity on corpus complexes)", False,
-                   f"mismatch: cells {lhs}, betti {rhs}")
-    report("#6e (Euler identity on corpus complexes)", True,
-           f"{len(complex_corpus)} complexes verified")
-
-
 def test_criterion_7_determinism(capsys):
     outputs = []
     for _ in range(2):

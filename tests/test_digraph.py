@@ -13,8 +13,10 @@ from prodsim import (
     glue_at_vertex,
     insert_between,
     is_isomorphic,
+    lantern,
     parse_word,
     rooted_word_graph,
+    tangled_cord,
     to_dot,
     to_json_obj,
 )
@@ -234,6 +236,19 @@ class TestIsomorphism:
                 assert {(witness[u], witness[v]) for u, v in g.edges} == h.edges
             verdicts.append(expected)
         assert 0 < verdicts.count(False) < verdicts.count(True)
+
+    def test_decides_graphs_of_over_a_thousand_vertices(self):
+        # the search runs over an explicit stack, so its depth (one level
+        # per vertex) is not bounded by the interpreter's recursion limit
+        g = lantern(1000)
+        perm = list(g.vertices)
+        random.Random(3).shuffle(perm)
+        assert len(g.vertices) > 1000
+        assert is_isomorphic(g, g.relabel(dict(zip(g.vertices, perm))))
+        t15 = tangled_cord(15)
+        a = rooted_word_graph(t15).graph
+        assert len(a.vertices) > 1000
+        assert is_isomorphic(a, rooted_word_graph(t15.reverse()).graph)
 
 
 class TestExport:

@@ -40,7 +40,7 @@ GOLDEN = {
     "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
     "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
-    "cli": "3bac3903a5d7cadac9aa2e4daeeb87e22e107d9dc0b3046054e2f74d75e8775b",
+    "cli": "8fc58b76d79ff63a4b46e9f7a294656ec6ed1af94d21a35e0341031a1c1d3118",
 }
 
 CLI_COMMANDS = [

@@ -1,6 +1,9 @@
 """Word graphs: rooted/global construction, enumeration, coprimality."""
 
+import gc
 import random
+
+import pytest
 
 from prodsim import (
     Digraph,
@@ -139,8 +142,30 @@ class TestEnumerateDows:
             assert len(enumerate_dows(n)) == count
 
     def test_sorted_output(self):
-        words = enumerate_dows(3)
-        assert words == sorted(words, key=lambda w: w.symbols)
+        for n in range(7):
+            words = enumerate_dows(n)
+            assert words == sorted(words, key=lambda w: w.symbols)
+
+
+_REVERSAL = dow("1213243545")
+
+
+@pytest.mark.parametrize("work", [
+    lambda: enumerate_dows(4),
+    lambda: global_word_graph(3),
+    lambda: is_isomorphic(rooted_word_graph(_REVERSAL).graph,
+                          rooted_word_graph(_REVERSAL.reverse()).graph),
+], ids=["enumerate_dows", "global_word_graph", "is_isomorphic"])
+def test_leaves_no_garbage_cycles(work):
+    # no recursive closure and no other reference cycle, so reference
+    # counting alone frees the work and the cyclic collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCoprime:

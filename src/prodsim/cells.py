@@ -319,6 +319,11 @@ class ChainComplex:
     cells above ``max_dim``.  ``births``, when the cells are ordered by
     birth (see `build_complex`), lists each dimension's births in the same
     order.
+
+    Boundary matrices are built on first use and cached whole.  A matrix
+    taken out of the cache (`take_boundary_matrix`) belongs to the taker,
+    and the cache builds the next one afresh from the cells, unless
+    `release_cells` has dropped them.
     """
 
     def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
@@ -327,6 +332,7 @@ class ChainComplex:
         self.cells = cells
         self.births = births
         self.index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cells.items()}
+        self._counts = {d: len(cs) for d, cs in cells.items()}
         self._matrices = {}
         self.boundary_checked = False
         top = max(d for d in cells)
@@ -338,17 +344,40 @@ class ChainComplex:
                 pass
 
     def counts(self):
-        return {d: len(cs) for d, cs in self.cells.items()}
+        return dict(self._counts)
 
     def top_dim(self) -> int:
-        return max((d for d, cs in self.cells.items() if cs), default=0)
+        return max((d for d, c in self._counts.items() if c), default=0)
+
+    def release_cells(self):
+        """Assemble every boundary matrix not cached yet, then drop the cell
+        lists and index dicts; the matrices, counts and births stay.  A
+        matrix taken from the cache after this cannot be built again."""
+        for n in range(1, self.max_dim + 1):
+            self.boundary_matrix(n)
+        self.cells = self.index = None
+
+    def take_boundary_matrix(self, n: int) -> IntMatrix:
+        """`boundary_matrix(n)`, removed from the cache and marked
+        disposable: the caller may take it apart, and the cache never hands
+        it out again."""
+        m = self.boundary_matrix(n)
+        del self._matrices[n]
+        m.disposable = True
+        return m
 
     def boundary_matrix(self, n: int) -> IntMatrix:
-        """Signed incidence of n-cells (columns) on (n-1)-cells (rows)."""
+        """Signed incidence of n-cells (columns) on (n-1)-cells (rows).
+
+        The cached matrix is returned itself, and a reduction that takes it
+        later takes it apart; copy it to use it after `homology_summary`.
+        """
         if not 1 <= n <= self.max_dim:
             raise ValueError(f"boundary degree {n} outside 1..{self.max_dim}")
         if n in self._matrices:
             return self._matrices[n]
+        if self.cells is None:
+            raise RuntimeError(f"d_{n} is not cached and the cells were released")
         rows = self.index.get(n - 1, {})
         cols = self.cells.get(n, [])
         # the facets of a cell are distinct cells, so each entry is written
@@ -373,15 +402,17 @@ class ChainComplex:
         """Raise InconsistentComplexError when some product of consecutive
         boundary matrices is nonzero.
 
-        Cells and matrices never change after construction, so one pass per
-        complex is enough, and it covers every face-closed prefix too: there
-        the product of the restricted d_{n-1} and d_n is a submatrix of the
-        full product, since no facet of a kept n-cell falls outside the cut.
+        The cells never change after construction, and the cache builds a
+        taken matrix afresh from them, so one pass per complex is enough;
+        it must run before a reduction takes the matrices apart.  It covers
+        every face-closed prefix too: there the product of the restricted
+        d_{n-1} and d_n is a submatrix of the full product, since no facet
+        of a kept n-cell falls outside the cut.
         """
         if self.boundary_checked:
             return
         for n in range(2, self.top_dim() + 1):
-            if self.cells.get(n) and not self.boundary_matrix(n - 1).matmul(
+            if self._counts.get(n) and not self.boundary_matrix(n - 1).matmul(
                     self.boundary_matrix(n)).is_zero():
                 raise InconsistentComplexError(f"d_{n - 1} o d_{n} != 0")
         self.boundary_checked = True

@@ -222,6 +222,10 @@ def cmd_table(args) -> int:
         budget.check("before the homology")
         print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
               file=sys.stderr)
+        # once d1..d3 are assembled the rows need only the cell counts and
+        # births; the d.d check still runs before the reduction takes the
+        # matrices apart
+        cx.release_cells()
         ns = range(2, args.n_max + 1)
         summaries = homology_summaries(cx, [_born_by(cx.births, n) for n in ns])
         budget.check("after the homology")

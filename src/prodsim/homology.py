@@ -76,6 +76,10 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     about 100 columns on `table 16`); with one cut this is a single unit
     pass and Smith loop.
 
+    The eliminations work on a copy of m's rows, and m stays whole, unless
+    its holder marked it ``disposable``: then its own row dicts are worked
+    on as they enter, and m is left without them (see `_rows`).
+
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
     rows of m are left out and every result is unchanged.  When `paired` is
@@ -117,14 +121,22 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
 
 
 def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
-    """A copy of ``rows`` of m, by default all, cut at ``ncols`` columns and
-    without the ``cleared`` ones: the eliminations work in place, and the
-    matrix stays cached."""
+    """``rows`` of m, by default all, cut at ``ncols`` columns and without
+    the ``cleared`` ones, for the eliminations to work on in place.
+
+    A disposable matrix gives its row dicts up: they leave m, cleared ones
+    included, and are handed on as they are unless the cut drops columns.
+    Any other matrix's rows are copied, so it stays whole.
+    """
     ncols = m.ncols if ncols is None else ncols
+    take = m.rows.pop if m.disposable else m.rows.get
+    copy = not m.disposable or ncols < m.ncols
     out = {}
     for r in range(m.nrows) if rows is None else rows:
-        if r in m.rows and r not in cleared:
-            row = {c: v for c, v in m.rows[r].items() if c < ncols}
+        row = take(r, None)
+        if row is not None and r not in cleared:
+            if copy:
+                row = {c: v for c, v in row.items() if c < ncols}
             if row:
                 out[r] = row
     return out
@@ -347,20 +359,24 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     as for one cut.  Ranks and invariant factors do not depend on the order
     of rows and columns, so each result is exact over Z, torsion included;
     its cell counts and Euler characteristic are the prefix's.
+
+    The complex is checked to square to zero first, so each degree's
+    reduction can then take d_n out of the complex's cache and eliminate on
+    its rows, with no copy; a later `boundary_matrix(n)` builds it afresh.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
     top = max((d for d, c in cuts[-1].items() if c), default=0)
+    cx.check_boundary_squares_to_zero()
     forms = {}
     cleared = ()
     for n in range(1, min(max_deg + 1, top) + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
         paired, forms[n] = set(), []
-        snf(cx.boundary_matrix(n), cleared=cleared, paired=paired,
+        snf(cx.take_boundary_matrix(n), cleared=cleared, paired=paired,
             cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts], by_cut=forms[n])
         cleared = paired
-    cx.check_boundary_squares_to_zero()
     return [_summary(cx, counts, {n: f[i] for n, f in forms.items()}, max_deg)
             for i, counts in enumerate(cuts)]
 

@@ -6,12 +6,18 @@ from __future__ import annotations
 
 class IntMatrix:
     """A sparse integer matrix stored as {row: {col: value}} dicts, the form
-    the Smith elimination consumes: nonzeros only, and no empty rows."""
+    the Smith elimination consumes: nonzeros only, and no empty rows.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    ``disposable`` is set by the one holder of a matrix when it gives the
+    matrix up to a reduction (see `ChainComplex.take_boundary_matrix`):
+    `snf` then eliminates on its row dicts, which leave it, instead of on a
+    copy."""
+
+    __slots__ = ("nrows", "ncols", "rows", "disposable")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         self.nrows, self.ncols, self.rows = nrows, ncols, {}
+        self.disposable = False
         for (r, c), v in dict(entries or {}).items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")

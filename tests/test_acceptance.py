@@ -38,14 +38,7 @@ from prodsim import (
 )
 from prodsim.cli import _random_consistent_digraph, _random_dow, _random_matrix, main
 from prodsim.digraph import longest_path_length
-from test_homology import minor_gcd_invariant_factors
-
-TANGLED_REFERENCE = {
-    2: (0, 0, 2), 3: (1, 0, 5), 4: (1, 2, 8), 5: (2, 6, 13),
-    6: (1, 27, 21), 7: (1, 54, 34), 8: (1, 86, 55),
-    9: (1, 111, 89), 10: (1, 126, 144), 11: (1, 116, 233), 12: (1, 112, 377),
-    13: (1, 102, 610), 14: (1, 108, 987),
-}
+from oracles import TANGLED_REFERENCE, minor_gcd_invariant_factors
 
 STRETCH_BUDGET = float(os.environ.get("PRODSIM_STRETCH_BUDGET", "3600"))
 _stretch_clock_start = time.monotonic()
@@ -313,6 +306,21 @@ def test_criterion_6c_product_law():
         done += 1
     report("#6c (coprime concatenation = product)", True,
            "200 coprime pairs verified, graphs and rational Betti numbers")
+
+
+def test_kunneth_on_factors_with_homology():
+    # criterion 6c draws almost only contractible factors, and no coprime
+    # pair of words up to 4 symbols has two non-contractible graphs, so the
+    # product graph is built directly; each product's rational Betti numbers
+    # are the convolution of its factors'
+    t3, t5 = (rooted_word_graph(tangled_cord(n)).graph for n in (3, 5))
+    g, h = (rooted_word_graph(Dow(parse_word(w))).graph for w in ("11232344", "11233244"))
+    for a, b, expected in ((t3, t3, [1, 2, 1]), (t3, g, [1, 1, 2, 2]),
+                           (g, h, [1, 0, 4, 0, 4]), (t3, t5, [1, 3, 8, 6])):
+        ba, bb = _betti_by_rational_rank(a), _betti_by_rational_rank(b)
+        kunneth = [sum(ba[i] * bb[n - i] for i in range(len(ba)) if 0 <= n - i < len(bb))
+                   for n in range(len(ba) + len(bb) - 1)]
+        assert _betti_by_rational_rank(cartesian_product(a, b)) == expected == kunneth
 
 
 def test_criterion_6d_snf_oracles():

@@ -27,6 +27,7 @@ from prodsim import (
 )
 from prodsim.cells import _block_sign, _partitions, _positions, _shape_rule, complex_to_json
 from prodsim.cli import _random_consistent_digraph, _tangled_births
+from oracles import simplex_digraph
 
 
 def canonical_with_sign(shape, grid):
@@ -45,11 +46,6 @@ def canonical_with_sign(shape, grid):
     new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
     return (Cell(tuple(shape[i] for i in order), new_grid),
             _block_sign(shape, order))
-
-
-def simplex_digraph(n):
-    vs = [f"v{i}" for i in range(n + 1)]
-    return Digraph(vs, [(vs[i], vs[j]) for i in range(n + 1) for j in range(i + 1, n + 1)])
 
 
 def edge_graph(a="a", b="b"):

@@ -11,7 +11,7 @@ import pytest
 
 from prodsim import Digraph, cli, rooted_word_graph, tangled_cord, word_label
 from prodsim.cli import main
-from test_acceptance import TANGLED_REFERENCE
+from oracles import TANGLED_REFERENCE
 
 
 def run(capsys, *argv):
@@ -225,6 +225,25 @@ class TestTable:
         assert "table: homology of n=2..6, one reduction per degree" in err
         assert out.splitlines() == ["n\tword\tbeta1\tbeta2\tvertices",
                                     "# budget exceeded; rows n>=2 omitted"]
+
+    def test_the_table_releases_its_cells(self, capsys, monkeypatch):
+        # the reduction sees the complex without its cells; a matrix it took
+        # cannot be built again, and the error says why
+        complexes = []
+        summaries = cli.homology_summaries
+
+        def keeping(cx, cuts):
+            complexes.append(cx)
+            return summaries(cx, cuts)
+
+        monkeypatch.setattr(cli, "homology_summaries", keeping)
+        code, out, _ = run(capsys, "table", "7")
+        assert code == 0 and len(out.splitlines()) == 7
+        [cx] = complexes
+        assert cx.cells is None and cx.index is None
+        for n in (1, 2, 3):
+            with pytest.raises(RuntimeError, match="cells were released"):
+                cx.boundary_matrix(n)
 
     def test_budget_before_the_complex_omits_every_row(self, capsys):
         code, out, _ = run(capsys, "table", "6", "--budget", "0")

@@ -20,11 +20,7 @@ from prodsim import (
     to_dot,
     to_json_obj,
 )
-
-
-def simplex_digraph(n):
-    vs = [f"v{i}" for i in range(n + 1)]
-    return Digraph(vs, [(vs[i], vs[j]) for i in range(n + 1) for j in range(i + 1, n + 1)])
+from oracles import simplex_digraph
 
 
 def weakly_not_consistently_directed_graph():

@@ -22,10 +22,7 @@ from prodsim import (
     successors,
     tangled_cord,
 )
-
-
-def dow(text):
-    return Dow(parse_word(text))
+from oracles import dow
 
 
 def texts(words):

@@ -20,10 +20,7 @@ from prodsim import (
     successors,
     word_label,
 )
-
-
-def dow(text):
-    return Dow(parse_word(text))
+from oracles import dow
 
 
 def _induced(g, keep):

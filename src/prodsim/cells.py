@@ -16,7 +16,7 @@ import functools
 import json
 from collections import defaultdict
 from itertools import compress, repeat
-from operator import and_, invert, itemgetter, lshift, lt, or_
+from operator import and_, itemgetter, lshift, lt
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -120,9 +120,10 @@ class Cell(NamedTuple):
     """One prodsimplicial cell: a factor shape plus a row-major vertex grid.
 
     ``shape`` is () for a vertex, (n,) for an n-simplex, and a non-increasing
-    tuple of factor dimensions otherwise.  ``grid`` lists host vertex labels
-    over the multi-index range, last factor varying fastest.  Both are
-    tuples, so cells hash, compare and sort by ``(shape, grid)``.
+    tuple of factor dimensions otherwise.  ``grid`` lists host vertices over
+    the multi-index range, last factor varying fastest: labels, or in a
+    `ChainComplex` indices into its sorted labels.  Both are tuples, so
+    cells hash, compare and sort by ``(shape, grid)``.
     """
 
     shape: tuple
@@ -234,14 +235,15 @@ def _fold(op, columns):
     return list(out)
 
 
-def _add_layer(shape, smaller, fwd, adj, size=1024):
+def _add_layer(shape, smaller, fwd, far, ids, size=1024):
     """Canonical grids of every cell of ``shape``, grown from ``smaller``,
     the canonical grids of its predecessor: S+(m-1) for S+(m), or S when
     m = 1.  Dropping the last vertex of a canonical cell's last factor
     leaves a canonical predecessor, so every cell is reached this way.
 
-    Grids hold vertex indices; ``fwd[v]`` and ``adj[v]`` are bitmasks of
-    v's one-way out-neighbours and of all its neighbours.  The predecessor
+    Grids hold vertex indices, each the one int ``ids`` holds for it;
+    ``fwd[v]`` and ``far[v]`` are bitmasks of v's one-way out-neighbours
+    and of the vertices other than v not adjacent to it.  The predecessor
     grid splits into rows of m vertices, one per multi-index of S, and each
     row gains a vertex that is a one-way out-neighbour of the whole row,
     adjacent to no other row, new to the cell, and joined to the other new
@@ -257,29 +259,26 @@ def _add_layer(shape, smaller, fwd, adj, size=1024):
     tie = len(shape) > 1 and shape[-2] == m
     if tie and m > 1:
         smaller = [grid for grid in smaller if grid[1] > grid[m]]
-    bit = [1 << v for v in range(len(fwd))]
     found = []
     for start in range(0, len(smaller), size):
         run = smaller[start:start + size]
         cols = list(zip(*run))
         rows = [cols[i:i + m] for i in range(0, len(cols), m)]
-        # per row: the one-way out-neighbours of all its vertices, and the
-        # vertices adjacent to none of them
+        # per row: the one-way out-neighbours of all its vertices, which are
+        # never its own vertices, and far from every vertex of the other rows
         outs = [_fold(and_, (map(fwd.__getitem__, col) for col in row)) for row in rows]
-        apart = [list(map(invert, _fold(or_, (map(adj.__getitem__, col) for col in row))))
-                 for row in rows]
-        free = list(map(invert, _fold(or_, (map(bit.__getitem__, col) for col in cols))))
-        masks = [_fold(and_, [free, outs[t], *apart[:t], *apart[t + 1:]])
+        masks = [_fold(and_, [outs[t], *(map(far.__getitem__, col)
+                                          for col in cols[:t * m] + cols[(t + 1) * m:])])
                  for t in range(len(rows))]
         if tie and m == 1:  # the first new vertex must sort after the grid's second
             masks[0] = list(map(and_, masks[0], map(lshift, repeat(-2), cols[1])))
         masks = list(zip(*masks))
         for grid, base in compress(zip(run, masks), map(all, masks)):
-            _search(grid, m, base, fwd, adj, found)
+            _search(grid, m, base, fwd, far, ids, found)
     return found
 
 
-def _search(grid, m, base, fwd, adj, found):
+def _search(grid, m, base, fwd, far, ids, found):
     """Append to ``found`` every grid that grows ``grid`` by one new vertex
     per row of m, the t-th drawn from ``base[t]``.
 
@@ -300,41 +299,46 @@ def _search(grid, m, base, fwd, adj, found):
             continue
         low = cand & -cand
         cands[t] = cand ^ low
-        new[t] = low.bit_length() - 1
+        new[t] = ids[low.bit_length() - 1]
         if t == last:
             found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
             continue
         t += 1
         cand = base[t]
         for y, link in zip(new, linked[t]):
-            cand &= fwd[y] if link else ~(adj[y] | 1 << y)
+            cand &= fwd[y] if link else far[y]
         cands[t] = cand
 
 
 class ChainComplex:
     """Cells graded by dimension with integer boundary matrices.
 
-    Cell lists are sorted, so the index maps and matrices are byte-identical
+    A cell's grid holds indices into ``labels``, the sorted vertex labels,
+    so index order is label order and cells sort, and settle factor ties,
+    as their labelled forms do; `labelled` gives a dimension's cells with
+    labels.  Cell lists are sorted, so the matrices are byte-identical
     across runs.  ``complete`` records whether the graph provably has no
     cells above ``max_dim``.  ``births``, when the cells are ordered by
     birth (see `build_complex`), lists each dimension's births in the same
     order.
 
-    Boundary matrices are built on first use and cached whole.  A matrix
-    taken out of the cache (`take_boundary_matrix`) belongs to the taker,
-    and the cache builds the next one afresh from the cells, unless
-    `release_cells` has dropped them.
+    Boundary matrices are built on first use and cached whole, each from
+    its columns' cells and a {cell: row} ``index`` of the dimension below,
+    built with it.  A matrix taken out of the cache (`take_boundary_matrix`)
+    belongs to the taker, and the cache builds the next one afresh from the
+    cells, unless `release_cells` has dropped them.
     """
 
     def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
         self.graph = graph
         self.max_dim = max_dim
+        self.labels = sorted(graph.vertices)
         self.cells = cells
         self.births = births
-        self.index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cells.items()}
+        self.index = {}
         self._counts = {d: len(cs) for d, cs in cells.items()}
         self._matrices = {}
-        self.boundary_checked = False
+        self.checked_through = 1
         top = max(d for d in cells)
         self.complete = not cells.get(top)
         if not self.complete:
@@ -349,13 +353,26 @@ class ChainComplex:
     def top_dim(self) -> int:
         return max((d for d, c in self._counts.items() if c), default=0)
 
+    def _named(self, cell: Cell) -> Cell:
+        return Cell(cell.shape, tuple(map(self.labels.__getitem__, cell.grid)))
+
+    def labelled(self, d: int):
+        """Dimension d's cells, in order, with grids of vertex labels."""
+        return list(map(self._named, self.cells[d]))
+
     def release_cells(self):
-        """Assemble every boundary matrix not cached yet, then drop the cell
-        lists and index dicts; the matrices, counts and births stay.  A
-        matrix taken from the cache after this cannot be built again."""
-        for n in range(1, self.max_dim + 1):
-            self.boundary_matrix(n)
-        self.cells = self.index = None
+        """Assemble every boundary matrix not cached yet, the top degree
+        first, and drop each dimension's cells and row index once the last
+        matrix that reads them is built; the matrices, counts and births
+        stay, and the cells go even when an assembly raises.  A matrix
+        taken from the cache after this cannot be built again."""
+        try:
+            for n in range(self.max_dim, 0, -1):
+                self.boundary_matrix(n)
+                self.cells.pop(n, None)
+                self.index.pop(n - 1, None)
+        finally:
+            self.cells = self.index = None
 
     def take_boundary_matrix(self, n: int) -> IntMatrix:
         """`boundary_matrix(n)`, removed from the cache and marked
@@ -378,7 +395,9 @@ class ChainComplex:
             return self._matrices[n]
         if self.cells is None:
             raise RuntimeError(f"d_{n} is not cached and the cells were released")
-        rows = self.index.get(n - 1, {})
+        rows = self.index.get(n - 1)
+        if rows is None:
+            rows = self.index[n - 1] = {c: i for i, c in enumerate(self.cells.get(n - 1, []))}
         cols = self.cells.get(n, [])
         # the facets of a cell are distinct cells, so each entry is written
         # once; a facet is looked up as its (sub-shape, grid) tuple
@@ -393,36 +412,37 @@ class ChainComplex:
             fac = Cell(*exc.args[0])
             cell = next(c for c in cols if any(f == fac for f, _ in facets(c)))
             raise InconsistentComplexError(
-                f"facet {fac!r} of {cell!r} missing from dimension {n - 1}") from None
+                f"facet {self._named(fac)!r} of {self._named(cell)!r} "
+                f"missing from dimension {n - 1}") from None
         m = IntMatrix.from_row_dicts(len(rows), len(cols), dict(by_row))
         self._matrices[n] = m
         return m
 
-    def check_boundary_squares_to_zero(self):
-        """Raise InconsistentComplexError when some product of consecutive
-        boundary matrices is nonzero.
+    def check_boundary_squares_to_zero(self, top: int | None = None):
+        """Raise InconsistentComplexError when d_{n-1} o d_n is nonzero for
+        some n up to ``top``, or up to the top dimension when None.
 
         The cells never change after construction, and the cache builds a
-        taken matrix afresh from them, so one pass per complex is enough;
-        it must run before a reduction takes the matrices apart.  It covers
-        every face-closed prefix too: there the product of the restricted
-        d_{n-1} and d_n is a submatrix of the full product, since no facet
-        of a kept n-cell falls outside the cut.
+        taken matrix afresh from them, so each product needs one check per
+        complex: ``checked_through`` is the highest n checked so far, and a
+        call checks only above it.  A degree must be checked before a
+        reduction takes its matrix apart.  The check covers every
+        face-closed prefix too: there the product of the restricted d_{n-1}
+        and d_n is a submatrix of the full product, since no facet of a kept
+        n-cell falls outside the cut.
         """
-        if self.boundary_checked:
-            return
-        for n in range(2, self.top_dim() + 1):
+        top = self.top_dim() if top is None else min(top, self.top_dim())
+        for n in range(self.checked_through + 1, top + 1):
             if self._counts.get(n) and not self.boundary_matrix(n - 1).matmul(
                     self.boundary_matrix(n)).is_zero():
                 raise InconsistentComplexError(f"d_{n - 1} o d_{n} != 0")
-        self.boundary_checked = True
+        self.checked_through = max(self.checked_through, top)
 
 
-def _ordered(groups, born, labels):
+def _ordered(groups, born):
     """One dimension's cells from (shape, grids) groups, and their births.
 
-    Grids hold indices into the sorted ``labels``, which sort as the labels
-    do.  The cells come sorted by (birth, cell) when ``born`` maps each
+    The cells come sorted by (birth, cell) when ``born`` maps each vertex
     index to its birth, by cell with no births otherwise.
     """
     if born is None:
@@ -434,7 +454,7 @@ def _ordered(groups, born, labels):
                        for shape, grids in groups for grid in grids)
         births = [b for b, _, _ in keyed]
         keyed = ((shape, grid) for _, shape, grid in keyed)
-    return [Cell(shape, tuple(map(labels.__getitem__, grid))) for shape, grid in keyed], births
+    return [Cell(shape, grid) for shape, grid in keyed], births
 
 
 def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
@@ -443,7 +463,9 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     Dimension 0 holds every vertex and dimension 1 every edge; higher cells
     are simplices and products detected under the induced-subgraph rule.
     Facets of detected cells are always detected themselves, so the result
-    is closed under faces by construction.
+    is closed under faces by construction.  Grids hold vertex indices (see
+    `ChainComplex`), each vertex's index one int object shared by every
+    grid: a fresh int above 256 would cost a grid more than its label.
 
     ``birth``, a {vertex: int} map, orders each dimension by (birth, cell)
     instead of by cell, where a cell is born with the latest vertex on its
@@ -455,22 +477,23 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
     labels = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(labels)}
+    ids = list(range(len(labels)))
+    index = dict(zip(labels, ids))
     out = [sum(1 << index[w] for w in g.out(v)) for v in labels]
     inn = [sum(1 << index[w] for w in g.inn(v)) for v in labels]
     fwd = [o & ~i for o, i in zip(out, inn)]
-    adj = [o | i for o, i in zip(out, inn)]
+    far = [~(o | i | 1 << v) for v, o, i in zip(ids, out, inn)]
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
     # cell, so the (1,) grids that grow the higher cells are the one-way
     # edges only, while dimension 1 holds every edge
-    by_shape = {(): [(v,) for v in range(len(labels))]}
+    by_shape = {(): [(v,) for v in ids]}
     groups = {0: [((), by_shape[()])],
               1: [((1,), [(index[u], index[v]) for u, v in g.edges])]}
     for n in range(1, max_dim + 1):
         shapes = _partitions(n)
         for shape in shapes:
             smaller = shape[:-1] + (shape[-1] - 1,) if shape[-1] > 1 else shape[:-1]
-            by_shape[shape] = _add_layer(shape, by_shape[smaller], fwd, adj)
+            by_shape[shape] = _add_layer(shape, by_shape[smaller], fwd, far, ids)
         if not any(by_shape[shape] for shape in shapes):
             break  # every cell of dimension n + 1 grows from one of these
         if n > 1:
@@ -478,7 +501,7 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     born = None if birth is None else [birth[v] for v in labels]
     cells, births = {}, {}
     for n in range(max_dim + 1):
-        cells[n], births[n] = _ordered(groups.get(n, ()), born, labels)
+        cells[n], births[n] = _ordered(groups.get(n, ()), born)
     return ChainComplex(g, max_dim, cells, None if birth is None else births)
 
 
@@ -486,8 +509,8 @@ def complex_to_json_obj(cx: ChainComplex) -> dict:
     cells = {str(d): [{"shape": list(c.shape),
                        "factors": [list(ax) for ax in c.factors],
                        "grid": list(c.grid)}
-                      for c in cs]
-             for d, cs in sorted(cx.cells.items())}
+                      for c in cx.labelled(d)]
+             for d in sorted(cx.cells)}
     boundaries = {}
     for n in range(1, cx.top_dim() + 1):
         m = cx.boundary_matrix(n)

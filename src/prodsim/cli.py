@@ -152,6 +152,8 @@ def cmd_homology(args) -> int:
         budget.check("before complex construction")
         cx = build_complex(g, args.max_dim)
         budget.check("after complex construction")
+        # the summary needs only the matrices and the cell counts
+        cx.release_cells()
         summary = homology_summary(cx)
         budget.check("after homology")
     except BudgetExceeded as exc:

@@ -360,17 +360,18 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     of rows and columns, so each result is exact over Z, torsion included;
     its cell counts and Euler characteristic are the prefix's.
 
-    The complex is checked to square to zero first, so each degree's
-    reduction can then take d_n out of the complex's cache and eliminate on
-    its rows, with no copy; a later `boundary_matrix(n)` builds it afresh.
+    The degrees to reduce are checked to square to zero first, so each
+    degree's reduction can then take d_n out of the complex's cache and
+    eliminate on its rows, with no copy; a later `boundary_matrix(n)` builds
+    it afresh.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
-    top = max((d for d, c in cuts[-1].items() if c), default=0)
-    cx.check_boundary_squares_to_zero()
+    top = min(max_deg + 1, max((d for d, c in cuts[-1].items() if c), default=0))
+    cx.check_boundary_squares_to_zero(top)
     forms = {}
     cleared = ()
-    for n in range(1, min(max_deg + 1, top) + 1):
+    for n in range(1, top + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
         paired, forms[n] = set(), []

@@ -153,6 +153,25 @@ class TestHomology:
         assert obj["2"] == {"betti": 0, "torsion": []}
         assert obj["euler"] == 0
 
+    def test_homology_releases_its_cells(self, capsys, monkeypatch):
+        # the summary sees the complex without its cells; a matrix it took
+        # cannot be built again, and the error says why
+        complexes = []
+        summary = cli.homology_summary
+
+        def keeping(cx):
+            complexes.append(cx)
+            return summary(cx)
+
+        monkeypatch.setattr(cli, "homology_summary", keeping)
+        code, out, _ = run(capsys, "homology", "rooted", "12132435465767")
+        assert code == 0 and "2\t54\t-" in out.splitlines()
+        [cx] = complexes
+        assert cx.cells is None and cx.index is None
+        for n in (1, 2, 3):
+            with pytest.raises(RuntimeError, match="cells were released"):
+                cx.boundary_matrix(n)
+
 
 class TestTable:
     def test_rows_match_reference(self, capsys):

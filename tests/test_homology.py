@@ -488,7 +488,7 @@ def test_cuts_must_nest_and_be_face_closed():
 
 def test_boundary_check_runs_once_per_complex(monkeypatch):
     cx = build_complex(rooted_word_graph(tangled_cord(6)).graph, 3)
-    assert not cx.boundary_checked
+    assert cx.checked_through == 1
     calls = []
     matmul = IntMatrix.matmul
 
@@ -498,9 +498,32 @@ def test_boundary_check_runs_once_per_complex(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "matmul", counted)
     first = homology_summary(cx)
-    assert cx.boundary_checked and len(calls) == cx.top_dim() - 1 > 0
+    assert cx.checked_through == cx.top_dim() and len(calls) == cx.top_dim() - 1 > 0
     assert homology_summary(cx) == first
     assert len(calls) == cx.top_dim() - 1
+
+
+def test_only_the_reduced_degrees_are_checked(monkeypatch):
+    # max_deg=0 reduces d1 alone, so d2 and d3 are neither built nor
+    # multiplied; a later call that reduces more checks the rest first
+    from prodsim import ChainComplex
+
+    g = rooted_word_graph(tangled_cord(8)).graph
+    whole = homology_summary(build_complex(g, 3))
+    cx = build_complex(g, 3)
+    built = []
+    assemble = ChainComplex.boundary_matrix
+
+    def spy(self, n):
+        if n not in self._matrices:
+            built.append(n)
+        return assemble(self, n)
+
+    monkeypatch.setattr(ChainComplex, "boundary_matrix", spy)
+    assert homology_summary(cx, max_deg=0).betti == {0: 1}
+    assert built == [1] and cx.checked_through == 1
+    assert homology_summary(cx) == whole
+    assert built == [1, 1, 2, 3] and cx.checked_through == 3
 
 
 def test_the_reduction_leaves_the_complex_whole():

@@ -322,11 +322,9 @@ class ChainComplex:
     birth (see `build_complex`), lists each dimension's births in the same
     order.
 
-    Boundary matrices are built on first use and cached whole, each from
-    its columns' cells and a {cell: row} ``index`` of the dimension below,
-    built with it.  A matrix taken out of the cache (`take_boundary_matrix`)
-    belongs to the taker, and the cache builds the next one afresh from the
-    cells, unless `release_cells` has dropped them.
+    `boundary_matrix` builds a matrix afresh from the cells on each call;
+    `release_cells` hands every matrix over once and drops the cells, after
+    which only the counts and births stay.
     """
 
     def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
@@ -335,10 +333,7 @@ class ChainComplex:
         self.labels = sorted(graph.vertices)
         self.cells = cells
         self.births = births
-        self.index = {}
         self._counts = {d: len(cs) for d, cs in cells.items()}
-        self._matrices = {}
-        self.checked_through = 1
         top = max(d for d in cells)
         self.complete = not cells.get(top)
         if not self.complete:
@@ -356,49 +351,41 @@ class ChainComplex:
     def _named(self, cell: Cell) -> Cell:
         return Cell(cell.shape, tuple(map(self.labels.__getitem__, cell.grid)))
 
+    def _dimension(self, d: int):
+        if self.cells is None:
+            raise RuntimeError("the cells were released; build the complex again")
+        return self.cells.get(d, [])
+
     def labelled(self, d: int):
         """Dimension d's cells, in order, with grids of vertex labels."""
-        return list(map(self._named, self.cells[d]))
+        return list(map(self._named, self._dimension(d)))
 
-    def release_cells(self):
-        """Assemble every boundary matrix not cached yet, the top degree
-        first, and drop each dimension's cells and row index once the last
-        matrix that reads them is built; the matrices, counts and births
-        stay, and the cells go even when an assembly raises.  A matrix
-        taken from the cache after this cannot be built again."""
+    def release_cells(self, top: int | None = None) -> dict:
+        """{n: d_n} for n = 1..``top``, by default the top dimension, checked
+        to square to zero and marked disposable, for a reduction to take
+        apart.  They are built from d_top down, and each dimension's cells
+        go once the last matrix that reads them is built, all of them even
+        when an assembly raises; reading the cells after this raises
+        RuntimeError."""
+        top = self.top_dim() if top is None else top
+        matrices = {}
         try:
-            for n in range(self.max_dim, 0, -1):
-                self.boundary_matrix(n)
+            for n in range(top, 0, -1):
+                matrices[n] = self.boundary_matrix(n)
                 self.cells.pop(n, None)
-                self.index.pop(n - 1, None)
         finally:
-            self.cells = self.index = None
-
-    def take_boundary_matrix(self, n: int) -> IntMatrix:
-        """`boundary_matrix(n)`, removed from the cache and marked
-        disposable: the caller may take it apart, and the cache never hands
-        it out again."""
-        m = self.boundary_matrix(n)
-        del self._matrices[n]
-        m.disposable = True
-        return m
+            self.cells = None
+        self.check_boundary_squares_to_zero(matrices)
+        for m in matrices.values():
+            m.disposable = True
+        return matrices
 
     def boundary_matrix(self, n: int) -> IntMatrix:
-        """Signed incidence of n-cells (columns) on (n-1)-cells (rows).
-
-        The cached matrix is returned itself, and a reduction that takes it
-        later takes it apart; copy it to use it after `homology_summary`.
-        """
+        """Signed incidence of n-cells (columns) on (n-1)-cells (rows)."""
         if not 1 <= n <= self.max_dim:
             raise ValueError(f"boundary degree {n} outside 1..{self.max_dim}")
-        if n in self._matrices:
-            return self._matrices[n]
-        if self.cells is None:
-            raise RuntimeError(f"d_{n} is not cached and the cells were released")
-        rows = self.index.get(n - 1)
-        if rows is None:
-            rows = self.index[n - 1] = {c: i for i, c in enumerate(self.cells.get(n - 1, []))}
-        cols = self.cells.get(n, [])
+        cols = self._dimension(n)
+        rows = {c: i for i, c in enumerate(self._dimension(n - 1))}
         # the facets of a cell are distinct cells, so each entry is written
         # once; a facet is looked up as its (sub-shape, grid) tuple
         by_row = defaultdict(dict)
@@ -414,47 +401,37 @@ class ChainComplex:
             raise InconsistentComplexError(
                 f"facet {self._named(fac)!r} of {self._named(cell)!r} "
                 f"missing from dimension {n - 1}") from None
-        m = IntMatrix.from_row_dicts(len(rows), len(cols), dict(by_row))
-        self._matrices[n] = m
-        return m
+        return IntMatrix.from_row_dicts(len(rows), len(cols), dict(by_row))
 
-    def check_boundary_squares_to_zero(self, top: int | None = None):
+    def check_boundary_squares_to_zero(self, matrices):
         """Raise InconsistentComplexError when d_{n-1} o d_n is nonzero for
-        some n up to ``top``, or up to the top dimension when None.
+        two adjacent degrees of ``matrices``, a {n: d_n} map.
 
-        The cells never change after construction, and the cache builds a
-        taken matrix afresh from them, so each product needs one check per
-        complex: ``checked_through`` is the highest n checked so far, and a
-        call checks only above it.  A degree must be checked before a
-        reduction takes its matrix apart.  The check covers every
-        face-closed prefix too: there the product of the restricted d_{n-1}
-        and d_n is a submatrix of the full product, since no facet of a kept
-        n-cell falls outside the cut.
+        The check covers every face-closed prefix too: there the product of
+        the restricted d_{n-1} and d_n is a submatrix of the full product,
+        since no facet of a kept n-cell falls outside the cut.
         """
-        top = self.top_dim() if top is None else min(top, self.top_dim())
-        for n in range(self.checked_through + 1, top + 1):
-            if self._counts.get(n) and not self.boundary_matrix(n - 1).matmul(
-                    self.boundary_matrix(n)).is_zero():
+        for n in sorted(matrices):
+            if n - 1 in matrices and not matrices[n - 1].matmul(matrices[n]).is_zero():
                 raise InconsistentComplexError(f"d_{n - 1} o d_{n} != 0")
-        self.checked_through = max(self.checked_through, top)
 
 
 def _ordered(groups, born):
     """One dimension's cells from (shape, grids) groups, and their births.
 
-    The cells come sorted by (birth, cell) when ``born`` maps each vertex
-    index to its birth, by cell with no births otherwise.
+    The cells come sorted by cell and then, when ``born`` maps each vertex
+    index to its birth, stably by birth, so by (birth, cell).
     """
+    cells = [Cell(shape, grid) for shape, grids in sorted(groups, key=itemgetter(0))
+             for grid in sorted(grids)]
     if born is None:
-        births = None
-        keyed = ((shape, grid) for shape, grids in sorted(groups, key=itemgetter(0))
-                 for grid in sorted(grids))
-    else:
-        keyed = sorted((max(map(born.__getitem__, grid)), shape, grid)
-                       for shape, grids in groups for grid in grids)
-        births = [b for b, _, _ in keyed]
-        keyed = ((shape, grid) for _, shape, grid in keyed)
-    return [Cell(shape, grid) for shape, grid in keyed], births
+        return cells, None
+
+    def birth(cell):
+        return max(map(born.__getitem__, cell.grid))
+
+    cells.sort(key=birth)
+    return cells, list(map(birth, cells))
 
 
 def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
@@ -510,7 +487,7 @@ def complex_to_json_obj(cx: ChainComplex) -> dict:
                        "factors": [list(ax) for ax in c.factors],
                        "grid": list(c.grid)}
                       for c in cx.labelled(d)]
-             for d in sorted(cx.cells)}
+             for d in range(cx.max_dim + 1)}
     boundaries = {}
     for n in range(1, cx.top_dim() + 1):
         m = cx.boundary_matrix(n)

@@ -77,8 +77,8 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     pass and Smith loop.
 
     The eliminations work on a copy of m's rows, and m stays whole, unless
-    its holder marked it ``disposable``: then its own row dicts are worked
-    on as they enter, and m is left without them (see `_rows`).
+    `ChainComplex.release_cells` marked it ``disposable``: then its own row
+    dicts are worked on as they enter, and m is left without them.
 
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
@@ -126,7 +126,7 @@ def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
 
     A disposable matrix gives its row dicts up: they leave m, cleared ones
     included, and are handed on as they are unless the cut drops columns.
-    Any other matrix's rows are copied, so it stays whole.
+    A caller's own matrix is copied, so it stays whole.
     """
     ncols = m.ncols if ncols is None else ncols
     take = m.rows.pop if m.disposable else m.rows.get
@@ -343,7 +343,7 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySu
     beta_n = c_n - rank(d_n) - rank(d_{n+1}); torsion in degree n is the list
     of invariant factors of d_{n+1} exceeding 1.  Degrees whose exactness
     would need cells above the built dimension cap are flagged as truncated
-    rather than silently reported.
+    rather than silently reported.  The complex's cells are used up.
     """
     return homology_summaries(cx, [cx.counts()], max_deg)[0]
 
@@ -360,22 +360,20 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     of rows and columns, so each result is exact over Z, torsion included;
     its cell counts and Euler characteristic are the prefix's.
 
-    The degrees to reduce are checked to square to zero first, so each
-    degree's reduction can then take d_n out of the complex's cache and
-    eliminate on its rows, with no copy; a later `boundary_matrix(n)` builds
-    it afresh.
+    The complex hands its checked matrices over (`ChainComplex.release_cells`)
+    and each degree's reduction eliminates on d_n's own rows, with no copy.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
     top = min(max_deg + 1, max((d for d, c in cuts[-1].items() if c), default=0))
-    cx.check_boundary_squares_to_zero(top)
+    matrices = cx.release_cells(top)
     forms = {}
     cleared = ()
     for n in range(1, top + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
         paired, forms[n] = set(), []
-        snf(cx.take_boundary_matrix(n), cleared=cleared, paired=paired,
+        snf(matrices.pop(n), cleared=cleared, paired=paired,
             cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts], by_cut=forms[n])
         cleared = paired
     return [_summary(cx, counts, {n: f[i] for n, f in forms.items()}, max_deg)

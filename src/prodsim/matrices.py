@@ -8,10 +8,9 @@ class IntMatrix:
     """A sparse integer matrix stored as {row: {col: value}} dicts, the form
     the Smith elimination consumes: nonzeros only, and no empty rows.
 
-    ``disposable`` is set by the one holder of a matrix when it gives the
-    matrix up to a reduction (see `ChainComplex.take_boundary_matrix`):
-    `snf` then eliminates on its row dicts, which leave it, instead of on a
-    copy."""
+    ``disposable`` is set only by `ChainComplex.release_cells`, on the
+    matrices it hands over to a reduction: `snf` then eliminates on their
+    row dicts, which leave them, instead of on a copy."""
 
     __slots__ = ("nrows", "ncols", "rows", "disposable")
 

@@ -450,7 +450,8 @@ class TestBuildComplex:
     def test_the_build_holds_one_copy_of_every_cell(self):
         # the build's traced peak stays close to what the complex keeps;
         # labelling every index grid at the end of the build peaked at 1.42
-        # times that on this graph, and index grids kept as they are, 1.25
+        # times that on this graph, and sorting (birth, shape, grid) tuples
+        # for the birth order, 1.25
         import tracemalloc
 
         g = rooted_word_graph(tangled_cord(12)).graph
@@ -463,7 +464,7 @@ class TestBuildComplex:
         finally:
             tracemalloc.stop()
         assert cx.counts()[3] > 0
-        assert peak - before <= 1.33 * (held - before), (peak - before, held - before)
+        assert peak - before <= 1.2 * (held - before), (peak - before, held - before)
 
     def test_cyclic_graph_accepted(self):
         g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
@@ -562,7 +563,7 @@ class TestFacets:
             graphs.append(rooted_word_graph(Dow(word)).graph)
         for g in graphs:
             cx = build_complex(g, 4)
-            cx.check_boundary_squares_to_zero()
+            cx.release_cells()
 
 
 class TestBoundaryMatrix:
@@ -587,6 +588,16 @@ class TestBoundaryMatrix:
             cx.boundary_matrix(2)
         with pytest.raises(ValueError):
             cx.boundary_matrix(0)
+
+    def test_a_released_complex_fails_clearly(self):
+        # once the cells are handed over, whatever reads them says so
+        cx = build_complex(three_square_sphere(), 2)
+        assert set(cx.release_cells()) == {1, 2}
+        assert cx.cells is None and cx.counts() == {0: 5, 1: 6, 2: 3}
+        for read in (lambda: cx.labelled(1), lambda: cx.boundary_matrix(2),
+                     lambda: complex_to_json(cx)):
+            with pytest.raises(RuntimeError, match="cells were released"):
+                read()
 
     def test_json_dump_roundtrips(self):
         import json
@@ -674,4 +685,4 @@ class TestBoundaryMatrix:
         # a release that fails leaves no half-released cells behind
         with pytest.raises(InconsistentComplexError):
             cx.release_cells()
-        assert cx.cells is None and cx.index is None
+        assert cx.cells is None

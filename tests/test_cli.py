@@ -154,8 +154,8 @@ class TestHomology:
         assert obj["euler"] == 0
 
     def test_homology_releases_its_cells(self, capsys, monkeypatch):
-        # the summary sees the complex without its cells; a matrix it took
-        # cannot be built again, and the error says why
+        # the summary takes the complex's cells; no matrix can be built
+        # again, and the error says why
         complexes = []
         summary = cli.homology_summary
 
@@ -167,7 +167,7 @@ class TestHomology:
         code, out, _ = run(capsys, "homology", "rooted", "12132435465767")
         assert code == 0 and "2\t54\t-" in out.splitlines()
         [cx] = complexes
-        assert cx.cells is None and cx.index is None
+        assert cx.cells is None
         for n in (1, 2, 3):
             with pytest.raises(RuntimeError, match="cells were released"):
                 cx.boundary_matrix(n)
@@ -246,8 +246,8 @@ class TestTable:
                                     "# budget exceeded; rows n>=2 omitted"]
 
     def test_the_table_releases_its_cells(self, capsys, monkeypatch):
-        # the reduction sees the complex without its cells; a matrix it took
-        # cannot be built again, and the error says why
+        # the reduction takes the complex's cells; no matrix can be built
+        # again, and the error says why
         complexes = []
         summaries = cli.homology_summaries
 
@@ -259,7 +259,7 @@ class TestTable:
         code, out, _ = run(capsys, "table", "7")
         assert code == 0 and len(out.splitlines()) == 7
         [cx] = complexes
-        assert cx.cells is None and cx.index is None
+        assert cx.cells is None
         for n in (1, 2, 3):
             with pytest.raises(RuntimeError, match="cells were released"):
                 cx.boundary_matrix(n)

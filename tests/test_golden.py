@@ -41,6 +41,7 @@ GOLDEN = {
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
     "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
     "cli": "8fc58b76d79ff63a4b46e9f7a294656ec6ed1af94d21a35e0341031a1c1d3118",
+    "benchmark_cli": "6a9cd2d0cac0d2c5278c1d42658a27580498489fd3c022f1886ee6b0928ca9cf",
 }
 
 CLI_COMMANDS = [
@@ -50,6 +51,11 @@ CLI_COMMANDS = [
     ["homology", "construct", "mixed", "2", "2", "--format", "json"],
     ["graph", "rooted", "121323", "--format", "json"],
     ["verify", "--cases", "30"],
+]
+# the commands the benchmark times, whose stdout a refactor must keep
+BENCHMARK_COMMANDS = [
+    ["table", "12"],
+    ["homology", "global", "5"],
 ]
 
 
@@ -166,9 +172,9 @@ def word_graphs_digest():
                    for label, wg in _word_graphs())
 
 
-def cli_digest(capsys):
+def cli_digest(capsys, commands=CLI_COMMANDS):
     chunks = []
-    for argv in CLI_COMMANDS:
+    for argv in commands:
         code = main(list(argv))
         chunks.append(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}")
     return _digest(chunks)
@@ -188,3 +194,8 @@ def test_word_graphs_digest():
 def test_cli_stdout_digest(capsys):
     got = cli_digest(capsys)
     assert got == GOLDEN["cli"], f"golden group 'cli' changed: {got}"
+
+
+def test_benchmark_stdout_digest(capsys):
+    got = cli_digest(capsys, BENCHMARK_COMMANDS)
+    assert got == GOLDEN["benchmark_cli"], f"golden group 'benchmark_cli' changed: {got}"

@@ -27,7 +27,7 @@ from prodsim import (
     tangled_cord,
     three_square_sphere,
 )
-from prodsim.cells import InconsistentComplexError, complex_to_json
+from prodsim.cells import InconsistentComplexError
 from prodsim.cli import (
     _born_by,
     _random_consistent_digraph,
@@ -279,15 +279,23 @@ class TestHomologySummary:
             cx = build_complex(rooted_word_graph(w).graph, max(1, w.size))
             assert cx.complete
 
-    def test_inconsistent_complex_detected(self):
-        cx = build_complex(three_square_sphere(), 2)
-        d2 = cx.boundary_matrix(2)
-        entries = dict(d2.entries)
-        key = sorted(entries)[0]
-        entries[key] = -entries[key]
-        cx._matrices[2] = IntMatrix(d2.nrows, d2.ncols, entries)
+    def test_inconsistent_complex_detected(self, monkeypatch):
+        from prodsim import ChainComplex
+
+        assemble = ChainComplex.boundary_matrix
+
+        def corrupt(self, n):  # d2 with one entry's sign flipped
+            m = assemble(self, n)
+            if n == 2:
+                entries = dict(m.entries)
+                key = sorted(entries)[0]
+                entries[key] = -entries[key]
+                m = IntMatrix(m.nrows, m.ncols, entries)
+            return m
+
+        monkeypatch.setattr(ChainComplex, "boundary_matrix", corrupt)
         with pytest.raises(InconsistentComplexError):
-            homology_summary(cx)
+            homology_summary(build_complex(three_square_sphere(), 2))
 
     def test_truncation_flagged(self):
         vs = [f"v{i}" for i in range(4)]
@@ -377,10 +385,12 @@ def test_tangled_prefixes_match_per_n_complexes():
     # complex, so every prefix summary (betti, torsion, euler, cell counts)
     # is the per-n summary
     g = rooted_word_graph(tangled_cord(12)).graph
-    cx = build_complex(g, 3, _tangled_births(g, 12))
+    birth = _tangled_births(g, 12)
+    cx = build_complex(g, 3, birth)
     one_pass = homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 13)])
     for n in range(2, 13):
-        prefix = homology_summaries(cx, [_born_by(cx.births, n)])[0]
+        # a summary takes the complex's cells, so each call gets a fresh one
+        prefix = homology_summaries(build_complex(g, 3, birth), [_born_by(cx.births, n)])[0]
         per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
         assert prefix == per_n, n
         assert prefix.torsion[2] == ([2] if n >= 10 else []), n
@@ -389,7 +399,7 @@ def test_tangled_prefixes_match_per_n_complexes():
 
 
 def test_prefix_snf_leaves_the_matrix_alone():
-    # a prefix is read off the cached matrix, which stays whole
+    # a prefix is read off a caller's own matrix, which stays whole
     m = IntMatrix.from_rows([[1, 2, 0], [3, 4, 5], [0, 6, 7]])
     before = dict(m.entries)
     assert snf(m, cuts=[(2, 2)]).invariant_factors == (1, 2)
@@ -486,89 +496,110 @@ def test_cuts_must_nest_and_be_face_closed():
     assert snf(m, cuts=[(2, 1), (2, 2)]).rank == 2
 
 
-def test_boundary_check_runs_once_per_complex(monkeypatch):
-    cx = build_complex(rooted_word_graph(tangled_cord(6)).graph, 3)
-    assert cx.checked_through == 1
-    calls = []
-    matmul = IntMatrix.matmul
+def _spy_on_builds_and_checks(monkeypatch):
+    # records the degree of every boundary matrix built and counts matmuls
+    from prodsim import ChainComplex
+
+    built, calls = [], []
+    assemble, matmul = ChainComplex.boundary_matrix, IntMatrix.matmul
+
+    def spy(self, n):
+        built.append(n)
+        return assemble(self, n)
 
     def counted(self, other):
         calls.append(1)
         return matmul(self, other)
 
+    monkeypatch.setattr(ChainComplex, "boundary_matrix", spy)
     monkeypatch.setattr(IntMatrix, "matmul", counted)
-    first = homology_summary(cx)
-    assert cx.checked_through == cx.top_dim() and len(calls) == cx.top_dim() - 1 > 0
-    assert homology_summary(cx) == first
+    return built, calls
+
+
+def test_boundary_check_runs_once_per_complex(monkeypatch):
+    # a summary builds each reduced degree once, top first, and multiplies
+    # each adjacent pair once; the complex is used up by it, so a second
+    # summary raises before any pair is multiplied again
+    g = rooted_word_graph(tangled_cord(8)).graph
+    whole = homology_summary(build_complex(g, 3))
+    built, calls = _spy_on_builds_and_checks(monkeypatch)
+    cx = build_complex(g, 3)
+    assert homology_summary(cx) == whole
+    assert built == [3, 2, 1] and len(calls) == cx.top_dim() - 1 > 0
+    with pytest.raises(RuntimeError, match="cells were released"):
+        homology_summary(cx)
     assert len(calls) == cx.top_dim() - 1
 
 
 def test_only_the_reduced_degrees_are_checked(monkeypatch):
     # max_deg=0 reduces d1 alone, so d2 and d3 are neither built nor
-    # multiplied; a later call that reduces more checks the rest first
-    from prodsim import ChainComplex
-
+    # multiplied
     g = rooted_word_graph(tangled_cord(8)).graph
-    whole = homology_summary(build_complex(g, 3))
-    cx = build_complex(g, 3)
-    built = []
-    assemble = ChainComplex.boundary_matrix
-
-    def spy(self, n):
-        if n not in self._matrices:
-            built.append(n)
-        return assemble(self, n)
-
-    monkeypatch.setattr(ChainComplex, "boundary_matrix", spy)
-    assert homology_summary(cx, max_deg=0).betti == {0: 1}
-    assert built == [1] and cx.checked_through == 1
-    assert homology_summary(cx) == whole
-    assert built == [1, 1, 2, 3] and cx.checked_through == 3
+    built, calls = _spy_on_builds_and_checks(monkeypatch)
+    assert homology_summary(build_complex(g, 3), max_deg=0).betti == {0: 1}
+    assert built == [1] and calls == []
 
 
 def test_the_reduction_leaves_the_complex_whole():
-    # homology_summary takes each matrix out of the cache and reduces it in
-    # place; a library caller that keeps the complex sees intact matrices
+    # homology_summary takes the complex's matrices apart; afterwards the
+    # complex keeps no cells and asking it for a matrix raises rather than
+    # serving a half-consumed one, while a matrix the caller built before
+    # stays whole
     graphs = [rooted_word_graph(tangled_cord(7)).graph, three_square_sphere(),
               global_word_graph(3).graph]
     for g in graphs:
         cx, fresh = build_complex(g, 3), build_complex(g, 3)
-        homology_summary(cx)
+        own = [cx.boundary_matrix(n) for n in range(1, 4)]
+        assert homology_summary(cx) == homology_summary(build_complex(g, 3))
         for n in range(1, 4):
-            assert cx.boundary_matrix(n) == fresh.boundary_matrix(n), n
-        assert complex_to_json(cx) == complex_to_json(build_complex(g, 3))
+            assert own[n - 1] == fresh.boundary_matrix(n), n
+        assert cx.cells is None
+        for n in range(1, 4):
+            with pytest.raises(RuntimeError, match="cells were released"):
+                cx.boundary_matrix(n)
 
 
 def test_a_failed_reduction_leaves_no_half_consumed_matrix():
     # the second cut does not contain the first: d1's reduction raises after
-    # the first block's rows have entered it
+    # the first block's rows have entered it, and the complex then raises
+    # rather than serving what is left of the matrix
     g = rooted_word_graph(tangled_cord(6)).graph
     cx = build_complex(g, 3, _tangled_births(g, 6))
-    fresh = build_complex(g, 3, _tangled_births(g, 6))
     with pytest.raises(ValueError, match="does not contain"):
         homology_summaries(cx, [_born_by(cx.births, 5), _born_by(cx.births, 4)])
+    assert cx.cells is None
     for n in range(1, 4):
-        assert cx.boundary_matrix(n) == fresh.boundary_matrix(n), n
+        with pytest.raises(RuntimeError, match="cells were released"):
+            cx.boundary_matrix(n)
 
 
-def test_the_reduction_holds_little_beside_the_matrices():
-    # d1..d3 of G_12 assembled and checked; the reduction works on their own
-    # rows and frees each pivot row, so its traced peak above the memory
-    # held before it stays a small share of the matrices' size (copying
-    # every matrix first took 64%)
+def test_the_reduction_holds_little_beside_the_matrices(monkeypatch):
+    # d1..d3 of G_12 assembled and checked when the complex hands them
+    # over; the reduction works on their own rows and frees each pivot row,
+    # so its traced peak above the memory held then stays a small share of
+    # the matrices' size (copying every matrix first took 64%)
     import tracemalloc
+
+    from prodsim import ChainComplex
 
     g = rooted_word_graph(tangled_cord(12)).graph
     cx = build_complex(g, 3, _tangled_births(g, 12))
     cuts = [_born_by(cx.births, n) for n in range(2, 13)]
+    release, held = ChainComplex.release_cells, []
+
+    def measured(self, top=None):
+        matrices = release(self, top)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return matrices
+
+    monkeypatch.setattr(ChainComplex, "release_cells", measured)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cx.check_boundary_squares_to_zero()
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
         homology_summaries(cx, cuts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    [held] = held
     assert peak - held <= 0.10 * (held - before), (peak - held, held - before)

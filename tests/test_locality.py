@@ -29,7 +29,8 @@ def test_birth_prefixes_are_induced_subcomplexes(seed, size, births):
     for t in range(-1, 5):
         kept = {v for v, b in birth.items() if b <= t}
         sub = Digraph(kept, [(u, v) for u, v in g.edges if u in kept and v in kept])
-        prefix = homology_summaries(cx, [_born_by(cell_births, t)])[0]
+        # a summary takes the complex's cells, so each call gets a fresh one
+        prefix = homology_summaries(build_complex(g, 3, birth), [_born_by(cell_births, t)])[0]
         fresh = homology_summary(build_complex(sub, 3))
         assert prefix == fresh
         assert one_pass[t + 1] == fresh  # betti, torsion, euler and cell counts

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import defaultdict
-from itertools import compress, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import and_, itemgetter, lshift, lt
 from typing import NamedTuple
 
@@ -84,8 +84,8 @@ class _Ties:
     pair by pair; the grid is injective and every axis starts at the
     origin, so those labels decide.  A cell's comparison pattern holds one flag per pair, true when
     the later factor's label is the smaller, and names the order of the tied
-    factors; `entry` tables each pattern's facet positions on the cell grid
-    and its sign as patterns occur (see `_facet_plan`).
+    factors; `entry` tables each pattern's gather of the facet grid from the
+    cell grid and its sign as patterns occur (see `_facet_plan`).
     """
 
     __slots__ = ("shape", "positions", "sign", "tied", "pairs", "seconds", "orders")
@@ -99,8 +99,9 @@ class _Ties:
         self.orders = {}
 
     def entry(self, pattern):
-        """Facet positions and sign with the tied factors in the order that
-        the comparison ``pattern`` names."""
+        """The facet grid's gather from the cell grid, an itemgetter, and the
+        sign, with the tied factors in the order that the comparison
+        ``pattern`` names."""
         entry = self.orders.get(pattern)
         if entry is None:
             # a flipped pair moves its first factor a slot later, its second one earlier
@@ -111,7 +112,7 @@ class _Ties:
             order = sorted(range(len(slot)), key=slot.__getitem__)
             axes = _shape_rule(self.shape)[0]
             walk = _positions([axes[f] for f in order])
-            entry = self.orders[pattern] = (tuple(self.positions[q] for q in walk),
+            entry = self.orders[pattern] = (itemgetter(*(self.positions[q] for q in walk)),
                                             self.sign * _block_sign(self.shape, order))
         return entry
 
@@ -155,45 +156,38 @@ def _gather(positions, grids):
     return map(itemgetter(*positions), grids)
 
 
-def _facet_plan(shape, names, grids):
+def _facet_plan(shape, grids):
     """The facets of every cell of ``shape``, one facet rule at a time.
 
-    ``names`` name the cells whose grids are ``grids``, in the same order.
-    Yields (names, sub-shape, sign, facet grids), one name per facet grid.
-    A rule without ties gathers every facet grid at its positions.  A rule
-    with ties compares each cell's labels one tied pair at a time, splits
-    the cells by comparison pattern, in sorted order, and gathers each part
-    at the positions `_Ties` tables for its pattern.
+    Yields (sub-shape, signs, facet grids) per rule, in the shape's rule
+    order, with one sign and one facet grid per grid of ``grids``, in
+    order.  A rule without ties gathers every facet grid at its positions,
+    under its one sign.  A rule with ties compares each cell's labels one
+    tied pair at a time, and takes each cell's facet grid and sign from the
+    entry `_Ties` tables for the cell's comparison pattern.
     """
     for positions, sub_shape, sign, ties in _shape_rule(shape)[1]:
         if ties is None:
-            yield names, sub_shape, sign, _gather(positions, grids)
+            yield sub_shape, repeat(sign, len(grids)), _gather(positions, grids)
         else:
             patterns = list(zip(*[map(lt, map(itemgetter(b), grids), map(itemgetter(a), grids))
                                   for a, b in ties.seconds]))
-            for pattern in sorted(set(patterns)):
-                keep = list(map(pattern.__eq__, patterns))
-                positions, sign = ties.entry(pattern)
-                yield (compress(names, keep), sub_shape, sign,
-                       _gather(positions, compress(grids, keep)))
+            table = {pattern: ties.entry(pattern) for pattern in set(patterns)}
+            entries = list(map(table.__getitem__, patterns))
+            yield (sub_shape, map(itemgetter(1), entries),
+                   map(itemgetter.__call__, map(itemgetter(0), entries), grids))
 
 
-def _shape_chunks(cols, size=1024):
-    """The columns grouped by shape, in runs of at most ``size`` in column
-    order: (shape, column indices, grids).
-
-    Runs keep the row dicts filling in column order, as cell-by-cell
-    assembly fills them.  One rule at a time over a whole dimension would
-    grow every row dict in step, and the small tables they outgrow stay
-    stranded: on `table 16` that held 15 MB more resident after d3.
-    """
-    by_shape = defaultdict(list)
-    for j, cell in enumerate(cols):
-        by_shape[cell.shape].append(j)
-    for shape, group in by_shape.items():
-        for start in range(0, len(group), size):
-            js = group[start:start + size]
-            yield shape, js, [cols[j].grid for j in js]
+def _shape_chunks(cells, names, size=1024):
+    """The cells in runs of consecutive cells of one shape, each at most
+    ``size`` long: (shape, the run's ``names``, its grids)."""
+    lo = 0
+    for shape, run in groupby(cells, itemgetter(0)):
+        grids = list(map(itemgetter(1), run))
+        for start in range(0, len(grids), size):
+            chunk = grids[start:start + size]
+            yield shape, names[lo:lo + len(chunk)], chunk
+            lo += len(chunk)
 
 
 def facets(cell: Cell):
@@ -209,8 +203,8 @@ def facets(cell: Cell):
     if cell.dim == 0:
         raise ValueError("a vertex has no facets")
     return [(Cell(sub_shape, grid), sign)
-            for _, sub_shape, sign, grids in _facet_plan(cell.shape, (0,), (cell.grid,))
-            for grid in grids]
+            for sub_shape, signs, grids in _facet_plan(cell.shape, (cell.grid,))
+            for grid, sign in zip(grids, signs)]
 
 
 def _partitions(n, max_part=None):
@@ -324,16 +318,19 @@ class ChainComplex:
 
     `boundary_matrix` builds a matrix afresh from the cells on each call;
     `release_cells` hands every matrix over once and drops the cells, after
-    which only the counts and births stay.
+    which only the counts and births stay.  The graph is read when the
+    complex is made and not kept.
     """
 
     def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
-        self.graph = graph
         self.max_dim = max_dim
         self.labels = sorted(graph.vertices)
         self.cells = cells
         self.births = births
         self._counts = {d: len(cs) for d, cs in cells.items()}
+        # cell indices, one shared int each, as every grid shares its vertex
+        # indices: the matrices' columns hold them, and a row dict's keys
+        self._index = list(range(max(self._counts.values())))
         top = max(d for d in cells)
         self.complete = not cells.get(top)
         if not self.complete:
@@ -362,11 +359,11 @@ class ChainComplex:
 
     def release_cells(self, top: int | None = None) -> dict:
         """{n: d_n} for n = 1..``top``, by default the top dimension, checked
-        to square to zero and marked disposable, for a reduction to take
-        apart.  They are built from d_top down, and each dimension's cells
-        go once the last matrix that reads them is built, all of them even
-        when an assembly raises; reading the cells after this raises
-        RuntimeError."""
+        to square to zero.  They are built from d_top down, and each
+        dimension's cells go once the last matrix that reads them is built,
+        all of them even when an assembly raises; reading the cells after
+        this raises RuntimeError.  The flat matrices are all a reduction
+        needs: it makes row dicts of its own from them."""
         top = self.top_dim() if top is None else top
         matrices = {}
         try:
@@ -374,34 +371,43 @@ class ChainComplex:
                 matrices[n] = self.boundary_matrix(n)
                 self.cells.pop(n, None)
         finally:
-            self.cells = None
+            self.cells = self._index = None
         self.check_boundary_squares_to_zero(matrices)
-        for m in matrices.values():
-            m.disposable = True
         return matrices
 
     def boundary_matrix(self, n: int) -> IntMatrix:
         """Signed incidence of n-cells (columns) on (n-1)-cells (rows)."""
         if not 1 <= n <= self.max_dim:
             raise ValueError(f"boundary degree {n} outside 1..{self.max_dim}")
-        cols = self._dimension(n)
-        rows = {c: i for i, c in enumerate(self._dimension(n - 1))}
-        # the facets of a cell are distinct cells, so each entry is written
-        # once; a facet is looked up as its (sub-shape, grid) tuple
-        by_row = defaultdict(dict)
+        cols, below = self._dimension(n), self._dimension(n - 1)
+        row_of = defaultdict(dict)  # {shape: {grid: row}}
+        for cell, i in zip(below, self._index):
+            row_of[cell.shape][cell.grid] = i
+        # a run's facets are looked up rule by rule and laid out cell by
+        # cell, so the entries come in column order: ``at`` holds their rows,
+        # ``signs`` their values and ``where`` each cell's column, once per
+        # facet; the facets of a cell are distinct cells, so each entry is
+        # written once
+        at, signs, where = [], [], []
         try:
-            for shape, js, grids in _shape_chunks(cols):
-                for names, sub_shape, sign, fac_grids in _facet_plan(shape, js, grids):
-                    for j, i in zip(names, map(rows.__getitem__,
-                                               zip(repeat(sub_shape), fac_grids))):
-                        by_row[i][j] = sign
+            for shape, js, grids in _shape_chunks(cols, self._index):
+                nrules = len(_shape_rule(shape)[1])
+                run_rows, run_signs = [None] * (nrules * len(js)), [None] * (nrules * len(js))
+                for rule, (sub_shape, facet_signs, fac_grids) in enumerate(_facet_plan(shape, grids)):
+                    run_rows[rule::nrules] = map(row_of[sub_shape].__getitem__, fac_grids)
+                    run_signs[rule::nrules] = facet_signs
+                at += run_rows
+                signs += run_signs
+                where.append(map(repeat, js, repeat(nrules)))
         except KeyError as exc:
-            fac = Cell(*exc.args[0])
+            fac = Cell(sub_shape, exc.args[0])
             cell = next(c for c in cols if any(f == fac for f, _ in facets(c)))
             raise InconsistentComplexError(
                 f"facet {self._named(fac)!r} of {self._named(cell)!r} "
                 f"missing from dimension {n - 1}") from None
-        return IntMatrix.from_row_dicts(len(rows), len(cols), dict(by_row))
+        del row_of  # d3's layout is the peak of `table N`; the index is done
+        return IntMatrix.from_column_major(len(below), len(cols), at,
+                                           chain.from_iterable(chain.from_iterable(where)), signs)
 
     def check_boundary_squares_to_zero(self, matrices):
         """Raise InconsistentComplexError when d_{n-1} o d_n is nonzero for
@@ -420,18 +426,22 @@ def _ordered(groups, born):
     """One dimension's cells from (shape, grids) groups, and their births.
 
     The cells come sorted by cell and then, when ``born`` maps each vertex
-    index to its birth, stably by birth, so by (birth, cell).
+    index to its birth, stably by birth, so by (birth, cell): each cell's
+    birth is worked out once and the cells, taken in cell order, are
+    bucketed by it.
     """
     cells = [Cell(shape, grid) for shape, grids in sorted(groups, key=itemgetter(0))
              for grid in sorted(grids)]
     if born is None:
         return cells, None
-
-    def birth(cell):
-        return max(map(born.__getitem__, cell.grid))
-
-    cells.sort(key=birth)
-    return cells, list(map(birth, cells))
+    buckets = defaultdict(list)
+    for b, cell in zip(map(max, map(map, repeat(born.__getitem__), map(itemgetter(1), cells))),
+                       cells):
+        buckets[b].append(cell)
+    del cells
+    births = sorted(buckets)
+    return (list(chain.from_iterable(map(buckets.__getitem__, births))),
+            list(chain.from_iterable(repeat(b, len(buckets[b])) for b in births)))
 
 
 def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:

@@ -151,6 +151,7 @@ def cmd_homology(args) -> int:
     try:
         budget.check("before complex construction")
         cx = build_complex(g, args.max_dim)
+        del g  # nothing reads the graph once its cells are found
         budget.check("after complex construction")
         summary = homology_summary(cx)
         budget.check("after homology")
@@ -217,8 +218,10 @@ def cmd_table(args) -> int:
         budget.check("before the complex")
         print(f"table: computing tangled cord n={args.n_max}", file=sys.stderr)
         g = rooted_word_graph(tangled_cord(args.n_max)).graph
-        # beta2 is exact with cells through dim 3
+        # beta2 is exact with cells through dim 3; nothing reads the graph
+        # once its cells are found
         cx = build_complex(g, 3, _tangled_births(g, args.n_max))
+        del g
         budget.check("before the homology")
         print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
               file=sys.stderr)

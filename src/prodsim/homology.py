@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cells import ChainComplex
 from .matrices import IntMatrix
@@ -76,9 +77,9 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     about 100 columns on `table 16`); with one cut this is a single unit
     pass and Smith loop.
 
-    The eliminations work on a copy of m's rows, and m stays whole, unless
-    `ChainComplex.release_cells` marked it ``disposable``: then its own row
-    dicts are worked on as they enter, and m is left without them.
+    The eliminations work on row dicts made from m's flat rows as their
+    cut enters them (see `_rows`), the cleared ones left out, so m stays as
+    it was.
 
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
@@ -121,24 +122,24 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
 
 
 def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
-    """``rows`` of m, by default all, cut at ``ncols`` columns and without
-    the ``cleared`` ones, for the eliminations to work on in place.
+    """Row dicts of ``rows`` of m, a range, by default all of them, cut at
+    ``ncols`` columns and without the ``cleared`` and the empty ones, for the
+    eliminations to work on in place; m is left as it is.
 
-    A disposable matrix gives its row dicts up: they leave m, cleared ones
-    included, and are handed on as they are unless the cut drops columns.
-    A caller's own matrix is copied, so it stays whole.
-    """
-    ncols = m.ncols if ncols is None else ncols
-    take = m.rows.pop if m.disposable else m.rows.get
-    copy = not m.disposable or ncols < m.ncols
+    One pass over the rows' nonzeros hands each kept row its own and skips
+    a cleared row's."""
+    rows = range(m.nrows) if rows is None else rows
+    bounds = m.starts[rows.start:rows.stop + 1].tolist()
+    entries = zip(islice(m.cols, bounds[0], bounds[-1]), islice(m.vals, bounds[0], bounds[-1]))
     out = {}
-    for r in range(m.nrows) if rows is None else rows:
-        row = take(r, None)
-        if row is not None and r not in cleared:
-            if copy:
-                row = {c: v for c, v in row.items() if c < ncols}
-            if row:
-                out[r] = row
+    for r, s, e in zip(rows, bounds, bounds[1:]):
+        if s != e:
+            if r in cleared:
+                next(islice(entries, e - s - 1, None))
+            else:
+                out[r] = dict(islice(entries, e - s))
+    if ncols is not None and ncols < m.ncols:
+        out = {r: cut for r, row in out.items() if (cut := {c: v for c, v in row.items() if c < ncols})}
     return out
 
 
@@ -361,7 +362,7 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     its cell counts and Euler characteristic are the prefix's.
 
     The complex hands its checked matrices over (`ChainComplex.release_cells`)
-    and each degree's reduction eliminates on d_n's own rows, with no copy.
+    and each is dropped once its degree is reduced.
     """
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)

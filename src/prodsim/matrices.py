@@ -3,32 +3,69 @@ solver.  Entries are arbitrary-precision Python integers."""
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain, repeat
+from operator import sub
+
 
 class IntMatrix:
-    """A sparse integer matrix stored as {row: {col: value}} dicts, the form
-    the Smith elimination consumes: nonzeros only, and no empty rows.
+    """A sparse integer matrix stored row-major in three flat sequences.
 
-    ``disposable`` is set only by `ChainComplex.release_cells`, on the
-    matrices it hands over to a reduction: `snf` then eliminates on their
-    row dicts, which leave them, instead of on a copy."""
+    ``starts`` is an array of nrows + 1 offsets: row r's nonzeros lie at
+    ``starts[r]:starts[r + 1]`` of ``cols``, their columns in ascending
+    order, and of ``vals``, their values, nonzero Python ints of any size.
+    ``cols`` and ``vals`` are lists; in a boundary matrix they hold the
+    complex's shared cell indices and the shared ints +-1, so a nonzero costs
+    two list slots, 16 bytes, where a row dict entry cost about 64.  A
+    matrix is not changed once built: `snf` makes row dicts of its own, and
+    equal matrices have equal sequences.
+    """
 
-    __slots__ = ("nrows", "ncols", "rows", "disposable")
+    __slots__ = ("nrows", "ncols", "starts", "cols", "vals")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
-        self.nrows, self.ncols, self.rows = nrows, ncols, {}
-        self.disposable = False
-        for (r, c), v in dict(entries or {}).items():
+        entries = dict(entries or {})
+        for r, c in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            if v:
-                self.rows.setdefault(r, {})[c] = v
+        entries = sorted((rc, v) for rc, v in entries.items() if v)
+        rows = [r for (r, _), _ in entries]
+        self.nrows, self.ncols = nrows, ncols
+        self.starts = array("q", map(bisect_left, repeat(rows), range(nrows + 1)))
+        self.cols, self.vals = [c for (_, c), _ in entries], [v for _, v in entries]
+
+    @classmethod
+    def _flat(cls, nrows, ncols, starts, cols, vals):
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.starts, m.cols, m.vals = nrows, ncols, starts, cols, vals
+        return m
+
+    @classmethod
+    def from_column_major(cls, nrows: int, ncols: int, rows, cols, vals) -> "IntMatrix":
+        """The matrix with nonzero ``vals[e]`` at row ``rows[e]`` and column
+        ``cols[e]``, listed in ascending column order, each place once.
+        ``rows`` is a sequence; ``cols`` and ``vals`` are read once, in step
+        with it.  One counting pass lays the nonzeros out row by row, and each
+        row's columns come out ascending."""
+        free = [0] * (nrows + 1)
+        for r in rows:
+            free[r + 1] += 1
+        free = list(accumulate(free))  # each row's next free place
+        m = cls._flat(nrows, ncols, array("q", free), [0] * len(rows), [0] * len(rows))
+        out_cols, out_vals = m.cols, m.vals
+        for r, c, v in zip(rows, cols, vals):
+            at = free[r]
+            free[r] = at + 1
+            out_cols[at] = c
+            out_vals[at] = v
+        return m
 
     @classmethod
     def from_row_dicts(cls, nrows: int, ncols: int, rows) -> "IntMatrix":
-        """Wrap row dicts as they are: in range, no zeros, no empty rows."""
-        m = cls(nrows, ncols)
-        m.rows = rows
-        return m
+        """The matrix of {row: {col: value}} dicts, in range and without
+        zeros."""
+        return cls(nrows, ncols, {(r, c): v for r, row in rows.items() for c, v in row.items()})
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -39,41 +76,56 @@ class IntMatrix:
         return cls(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
                                       for j, v in enumerate(row)})
 
+    def _row_ids(self):
+        """Each nonzero's row, in storage order."""
+        starts = self.starts
+        return chain.from_iterable(map(repeat, range(self.nrows), map(sub, starts[1:], starts)))
+
     @property
     def entries(self):
         """The nonzeros as a {(row, col): value} dict."""
-        return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
+        return dict(zip(zip(self._row_ids(), self.cols), self.vals))
 
     def to_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                rows[r][c] = v
+        for r, c, v in self.triplets():
+            rows[r][c] = v
         return rows
 
     def triplets(self):
         """Sorted (row, col, value) triplets."""
-        return [(r, c, v) for r in sorted(self.rows) for c, v in sorted(self.rows[r].items())]
+        return list(zip(self._row_ids(), self.cols, self.vals))
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        product = {}
-        for r, row in self.rows.items():
+        starts, a_cols, a_vals = self.starts.tolist(), self.cols, self.vals
+        b_cols, b_vals = other.cols, other.vals
+        b_rows = list(map(range, other.starts, other.starts[1:]))  # places of each row
+        ends, cols, vals = [], [], []
+        for s, e in zip(starts, starts[1:]):
             acc = {}
-            for k, v in row.items():
-                for c, w in other.rows.get(k, {}).items():
-                    acc[c] = acc.get(c, 0) + v * w
+            get = acc.get
+            for q in range(s, e):
+                v = a_vals[q]
+                for p in b_rows[a_cols[q]]:
+                    c = b_cols[p]
+                    acc[c] = get(c, 0) + v * b_vals[p]
             if any(acc.values()):
-                product[r] = {c: v for c, v in acc.items() if v}
-        return IntMatrix.from_row_dicts(self.nrows, other.ncols, product)
+                for c in sorted(acc):
+                    if acc[c]:
+                        cols.append(c)
+                        vals.append(acc[c])
+            ends.append(len(vals))
+        return IntMatrix._flat(self.nrows, other.ncols, array("q", [0, *ends]), cols, vals)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.vals
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.starts == other.starts
+                and self.cols == other.cols and self.vals == other.vals)
 
     def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols}, {sum(map(len, self.rows.values()))} nonzeros)"
+        return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.vals)} nonzeros)"

@@ -567,6 +567,25 @@ class TestFacets:
 
 
 class TestBoundaryMatrix:
+    def test_a_nonzero_takes_few_bytes(self):
+        # d1..d3 of G_12 as flat rows: a column and a value slot per nonzero
+        # (the +-1 and the cell indices are shared ints) and an offset per
+        # row; row dicts took about 64 bytes a nonzero
+        import tracemalloc
+
+        g = rooted_word_graph(tangled_cord(12)).graph
+        cx = build_complex(g, 3, _tangled_births(g, 12))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrices = [cx.boundary_matrix(n) for n in (1, 2, 3)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nonzeros = sum(len(m.triplets()) for m in matrices)
+        assert nonzeros == 3992 + 22436 + 38286
+        assert held <= 24 * nonzeros, held / nonzeros
+
     def test_single_edge(self):
         cx = build_complex(edge_graph(), 1)
         m = cx.boundary_matrix(1)
@@ -607,10 +626,10 @@ class TestBoundaryMatrix:
         assert all(len(t) == 3 for t in obj["boundaries"]["2"]["triplets"])
 
     def test_assembly_matches_the_cell_by_cell_oracle(self):
-        # boundary assembly runs a shape at a time; the oracle takes each
-        # cell's facets from the rule's positions and re-sorts their factors
-        # by label, on complexes whose cells are shuffled per dimension, so
-        # shapes interleave as in the birth-ordered table
+        # boundary assembly goes over runs of cells of one shape; the oracle
+        # takes each cell's facets from the rule's positions and re-sorts
+        # their factors by label, on complexes whose cells are shuffled per
+        # dimension, so shapes interleave as in the birth-ordered table
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -621,7 +640,7 @@ class TestBoundaryMatrix:
         e = edge_graph()
         tri = simplex_digraph(2)
         path = Digraph(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")])
-        fixed = [build_complex(g, 5) for g in (
+        fixed = [(g, build_complex(g, 5)) for g in (
             three_square_sphere(), tennis_sphere(True), tennis_sphere(False),
             product(e, e, e, e), product(e, e, e, e, e), product(tri, e, e),
             product(path, tri, e))]
@@ -641,13 +660,14 @@ class TestBoundaryMatrix:
         @given(st.randoms(use_true_random=False), st.integers(2, 8), st.integers(1, 5),
                st.integers(1, 40))
         def check(rng, size, max_dim, run):
-            built = fixed + [build_complex(_random_consistent_digraph(rng, size), max_dim)]
+            g = _random_consistent_digraph(rng, size)
+            built = fixed + [(g, build_complex(g, max_dim))]
             with pytest.MonkeyPatch.context() as mp:
                 # short runs of a shape, so runs end inside a shape too
                 mp.setattr(cells_module, "_shape_chunks", partial(shape_chunks, size=run))
-                for cx in built:
+                for g, cx in built:
                     cells = {d: rng.sample(cs, len(cs)) for d, cs in cx.cells.items()}
-                    shuffled = ChainComplex(cx.graph, cx.max_dim, cells)
+                    shuffled = ChainComplex(g, cx.max_dim, cells)
                     for n in range(1, cx.max_dim + 1):
                         assert shuffled.boundary_matrix(n) == oracle(shuffled, n), n
                         shapes = [c.shape for c in cells[n]]

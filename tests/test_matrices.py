@@ -71,3 +71,77 @@ def test_triplets_sorted_and_dense_round_trip():
         assert back.to_rows() == dense
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+# shapes with no rows, no columns, or both, then random ones
+_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (5, 3), (3, 7)]
+
+
+def _random_packed(rng, nrows, ncols):
+    """A random matrix with empty rows and values past 2**63, of both signs."""
+    entries = {}
+    for r in range(nrows):
+        if rng.random() < 0.3:
+            continue
+        for c in range(ncols):
+            if rng.random() < 0.4:
+                entries[r, c] = rng.choice((1, -1)) * rng.choice((1, 2, 3, 2**64 + 1, 3**50))
+    return IntMatrix(nrows, ncols, entries)
+
+
+def _shapes(rng, count):
+    return _SHAPES + [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(count)]
+
+
+def test_packed_round_trips():
+    rng = random.Random(307)
+    big = 0
+    for nr, nc in _shapes(rng, 300):
+        m = _random_packed(rng, nr, nc)
+        entries = m.entries
+        big += any(abs(v) > 2**63 for v in entries.values())
+        assert IntMatrix(nr, nc, entries) == m
+        trip = m.triplets()
+        assert trip == sorted(trip)
+        assert {(r, c): v for r, c, v in trip} == entries
+        dense = m.to_rows()
+        assert len(dense) == nr and all(len(row) == nc for row in dense)
+        assert {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v} == entries
+        if nr:  # no rows leave no columns to read
+            assert IntMatrix.from_rows(dense) == m
+        rows = {}
+        for (r, c), v in entries.items():
+            rows.setdefault(r, {})[c] = v
+        assert IntMatrix.from_row_dicts(nr, nc, rows) == m
+        # column by column, the rows of a column in any order
+        order = sorted(entries, key=lambda rc: (rc[1], rng.random()))
+        assert IntMatrix.from_column_major(nr, nc, [r for r, _ in order], [c for _, c in order],
+                                           [entries[rc] for rc in order]) == m
+    assert big > 100
+
+
+def test_packed_equality():
+    rng = random.Random(311)
+    for nr, nc in _shapes(rng, 100):
+        m = _random_packed(rng, nr, nc)
+        assert m == IntMatrix(nr, nc, m.entries)
+        assert m != IntMatrix(nr, nc + 1, m.entries)
+        assert m != IntMatrix(nr + 1, nc, m.entries)
+        for (r, c), v in list(m.entries.items())[:3]:
+            assert m != IntMatrix(nr, nc, {**m.entries, (r, c): v + 2**64})
+            moved = dict(m.entries)
+            del moved[r, c]
+            assert m != IntMatrix(nr, nc, moved)
+
+
+def test_packed_matmul_equals_dense_product():
+    rng = random.Random(313)
+    for nr, inner in _shapes(rng, 150):
+        nc = rng.choice((0, 1, 4, 7))
+        a, b = _random_packed(rng, nr, inner), _random_packed(rng, inner, nc)
+        got = a.matmul(b)
+        assert (got.nrows, got.ncols) == (nr, nc)
+        assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)
+        assert all(got.entries.values())
+        assert got == IntMatrix(nr, nc, got.entries)
+

@@ -62,12 +62,6 @@ class IntMatrix:
         return m
 
     @classmethod
-    def from_row_dicts(cls, nrows: int, ncols: int, rows) -> "IntMatrix":
-        """The matrix of {row: {col: value}} dicts, in range and without
-        zeros."""
-        return cls(nrows, ncols, {(r, c): v for r, row in rows.items() for c, v in row.items()})
-
-    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0

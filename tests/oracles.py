@@ -1,9 +1,31 @@
-"""Graph generators, oracles and reference tables shared by the test modules."""
+"""What the test modules draw from or compare against, defined once.
+
+- Random generators.  `random_dow`, `random_consistent_digraph` and
+  `random_matrix` are the ones `prodsim verify` ships, re-exported from the
+  CLI; `random_digraph` gives DAGs and graphs with 2-cycles, and
+  `random_packed` matrices with empty rows and huge values.
+- Fixed inputs: `dow` parses a word, `simplex_digraph` is the transitive
+  tournament.
+- Oracles: `canonical_with_sign` and `brute_force_cells` for the cell
+  search, `minor_gcd_invariant_factors` for the Smith form, `betti` (the
+  Smith path's Betti numbers), and `rational_betti` and `convolve`, the
+  `product` suite's rational Betti numbers and Kunneth formula.
+- Reference tables: `TANGLED_REFERENCE`.
+"""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
+from itertools import product as grid_points
 
-from prodsim import Digraph, Dow, IntMatrix, parse_word
+from prodsim import Cell, Digraph, Dow, IntMatrix, build_complex, homology_summary, parse_word
+from prodsim.cells import _block_sign, _positions, _shape_rule
+from prodsim.cli import (  # re-exported: `verify` ships these
+    _convolve as convolve,
+    _random_consistent_digraph as random_consistent_digraph,
+    _random_dow as random_dow,
+    _random_matrix as random_matrix,
+    _rational_betti as rational_betti,
+)
 
 TANGLED_REFERENCE = {  # n: (beta1, beta2, vertices) of the tangled cord
     2: (0, 0, 2), 3: (1, 0, 5), 4: (1, 2, 8), 5: (2, 6, 13),
@@ -17,9 +39,94 @@ def dow(text):
     return Dow(parse_word(text))
 
 
-def simplex_digraph(n):
-    vs = [f"v{i}" for i in range(n + 1)]
+def simplex_digraph(n, prefix="v"):
+    vs = [f"{prefix}{i}" for i in range(n + 1)]
     return Digraph(vs, [(vs[i], vs[j]) for i in range(n + 1) for j in range(i + 1, n + 1)])
+
+
+def random_digraph(rng, n, forward, backward=None):
+    """Vertices v0..v{n-1} and one draw r per pair i < j: the edge vi -> vj
+    when r < forward, and vj -> vi when r lies strictly inside the interval
+    ``backward``; without it the graph is acyclic."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = []
+    for i, j in combinations(range(n), 2):
+        r = rng.random()
+        if r < forward:
+            edges.append((vs[i], vs[j]))
+        if backward and backward[0] < r < backward[1]:
+            edges.append((vs[j], vs[i]))
+    return Digraph(vs, edges)
+
+
+def random_packed(rng, nrows, ncols):
+    """A random matrix with empty rows and values past 2**63, of both signs."""
+    entries = {}
+    for r in range(nrows):
+        if rng.random() < 0.3:
+            continue
+        for c in range(ncols):
+            if rng.random() < 0.4:
+                entries[r, c] = rng.choice((1, -1)) * rng.choice((1, 2, 3, 2**64 + 1, 3**50))
+    return IntMatrix(nrows, ncols, entries)
+
+
+def canonical_with_sign(shape, grid):
+    """Oracle: sort factors into canonical order, equal dimensions by the
+    second vertex on each axis; the sign is the orientation parity of the
+    factor-block permutation (blocks weighted by their dimensions)."""
+    shape = tuple(shape)
+    grid = tuple(grid)
+    k = len(shape)
+    if k <= 1:
+        return Cell(shape, grid), 1
+    axes = _shape_rule(shape)[0]
+    order = sorted(range(k), key=lambda i: (-shape[i], grid[axes[i][1]]))
+    if order == list(range(k)):
+        return Cell(shape, grid), 1
+    new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
+    return (Cell(tuple(shape[i] for i in order), new_grid),
+            _block_sign(shape, order))
+
+
+def _skeleton_edges(shape):
+    multis = list(grid_points(*(range(n + 1) for n in shape)))
+    edges = set()
+    for i, a in enumerate(multis):
+        for j, b in enumerate(multis):
+            diff = [k for k in range(len(shape)) if a[k] != b[k]]
+            if len(diff) == 1 and a[diff[0]] < b[diff[0]]:
+                edges.add((i, j))
+    return multis, edges
+
+
+def brute_force_cells(g, shape):
+    """Oracle: try every injective assignment of vertices to grid positions
+    and keep those whose induced subgraph equals the product skeleton."""
+    multis, skeleton = _skeleton_edges(shape)
+    total = len(multis)
+    found = set()
+    for subset in combinations(sorted(g.vertices), total):
+        for perm in permutations(subset):
+            ok = True
+            for i in range(total):
+                for j in range(total):
+                    if i == j:
+                        continue
+                    if g.has_edge(perm[i], perm[j]) != ((i, j) in skeleton):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found.add(canonical_with_sign(shape, perm)[0])
+    return found
+
+
+def betti(g, max_dim=3):
+    """Betti numbers {degree: beta} of g's complex through ``max_dim``, by
+    the Smith path."""
+    return homology_summary(build_complex(g, max_dim)).betti
 
 
 def _det(rows):

@@ -17,10 +17,8 @@ import pytest
 
 from prodsim import (
     Dow,
-    are_coprime,
     build_complex,
     cartesian_product,
-    concat,
     homology_summary,
     is_isomorphic,
     lantern,
@@ -28,7 +26,6 @@ from prodsim import (
     multiloop,
     parse_word,
     path_square,
-    rational_rank,
     rooted_word_graph,
     snf,
     sphere_chain,
@@ -36,9 +33,15 @@ from prodsim import (
     tennis_sphere,
     three_square_sphere,
 )
-from prodsim.cli import _random_consistent_digraph, _random_dow, _random_matrix, main
-from prodsim.digraph import longest_path_length
-from oracles import TANGLED_REFERENCE, minor_gcd_invariant_factors
+from prodsim.cli import SUITES, main
+from oracles import (
+    TANGLED_REFERENCE,
+    betti,
+    convolve,
+    minor_gcd_invariant_factors,
+    random_matrix,
+    rational_betti,
+)
 
 STRETCH_BUDGET = float(os.environ.get("PRODSIM_STRETCH_BUDGET", "3600"))
 _stretch_clock_start = time.monotonic()
@@ -173,30 +176,25 @@ def test_criterion_3_torsion_probe_t10():
 def test_criterion_4_generator_graph_suite():
     start = time.monotonic()
     failures = []
-
-    def betti12(g):
-        s = homology_summary(build_complex(g, 3))
-        return s.betti[1], s.betti[2]
-
-    if betti12(path_square()) != (1, 0):
+    if betti(path_square()) != {0: 1, 1: 1, 2: 0}:
         failures.append("path_square")
     for k in range(0, 6):
-        if betti12(multiloop(k))[0] != k:
+        if betti(multiloop(k))[1] != k:
             failures.append(f"multiloop({k})")
-    if betti12(three_square_sphere()) != (0, 1):
+    if betti(three_square_sphere()) != {0: 1, 1: 0, 2: 1}:
         failures.append("three_square_sphere")
     for diag in (False, True):
-        if betti12(tennis_sphere(diag)) != (0, 1):
+        if betti(tennis_sphere(diag)) != {0: 1, 1: 0, 2: 1}:
             failures.append(f"tennis_sphere(diagonal={diag})")
     for k in range(1, 5):
-        if betti12(sphere_chain(k)) != (0, k):
+        if betti(sphere_chain(k)) != {0: 1, 1: 0, 2: k}:
             failures.append(f"sphere_chain({k})")
     for k in range(2, 7):
-        if betti12(lantern(k)) != (0, math.comb(k - 1, 2)):
+        if betti(lantern(k)) != {0: 1, 1: 0, 2: math.comb(k - 1, 2)}:
             failures.append(f"lantern({k})")
     for k in range(0, 4):
         for l in range(1, 4):
-            if betti12(mixed(k, l)) != (k, l):
+            if betti(mixed(k, l)) != {0: 1, 1: k, 2: l}:
                 failures.append(f"mixed({k},{l})")
     elapsed = time.monotonic() - start
     report("#4 (generator graph formulas, exact)", not failures and elapsed < 60,
@@ -234,78 +232,26 @@ def test_criterion_5_word_graph_examples():
            f"all match in {elapsed:.1f}s" if not failures else f"failed: {failures}")
 
 
-@pytest.fixture(scope="module")
-def complex_corpus():
-    """200 complexes of random word graphs (size <= 6) and random
-    consistently directed graphs, built to their full dimension."""
-    rng = random.Random(20240901)
-    corpus = []
-    for i in range(200):
-        if i % 2 == 0:
-            g = rooted_word_graph(_random_dow(rng, rng.randint(1, 6))).graph
-        else:
-            g = _random_consistent_digraph(rng, rng.randint(2, 8))
-        from prodsim.digraph import longest_path_length
-        depth = max(1, longest_path_length(g))
-        corpus.append(build_complex(g, depth))
-    return corpus
+# criteria 6a-6d run the `prodsim verify` suites on fixed seeds, 200 cases each
 
 
-def test_criterion_6a_boundary_squares_to_zero(complex_corpus):
-    for cx in complex_corpus:
-        cx.release_cells()
-    report("#6a (d.d = 0, 200 random complexes)", True,
-           f"{len(complex_corpus)} complexes verified")
+def test_criterion_6a_boundary_squares_to_zero():
+    # words of 1-6 symbols and consistently directed graphs of 2-8
+    # vertices, each complex built through its longest path
+    report("#6a (d.d = 0, 200 random complexes)",
+           *SUITES["boundary"](random.Random(20240901), 200))
 
 
 def test_criterion_6b_reverse_isomorphism():
-    rng = random.Random(20240902)
-    for _ in range(200):
-        w = _random_dow(rng, rng.randint(1, 5))
-        ok = is_isomorphic(rooted_word_graph(w).graph,
-                           rooted_word_graph(w.reverse()).graph)
-        if not ok:
-            report("#6b (reverse word graphs isomorphic)", False, f"failed on {w!r}")
-    report("#6b (reverse word graphs isomorphic)", True, "200 words verified")
-
-
-def _betti_by_rational_rank(g):
-    """Betti numbers of g's whole complex from rational ranks, an
-    elimination that shares nothing with the Smith path."""
-    cx = build_complex(g, max(1, longest_path_length(g)))
-    ranks = {n: rational_rank(cx.boundary_matrix(n)) for n in range(1, cx.max_dim + 1)}
-    betti = [len(cx.cells[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-             for n in range(cx.max_dim + 1)]
-    while betti and not betti[-1]:
-        betti.pop()
-    return betti
+    report("#6b (reverse word graphs isomorphic)",
+           *SUITES["reverse"](random.Random(20240902), 200))
 
 
 def test_criterion_6c_product_law():
     # the concatenation of coprime words has the product word graph, and so
     # (Kunneth over the rationals) Betti numbers the convolution of theirs
-    rng = random.Random(20240903)
-    done = 0
-    while done < 200:
-        w1 = _random_dow(rng, rng.randint(1, 3))
-        w2 = _random_dow(rng, rng.randint(1, 3))
-        if not are_coprime(w1, w2):
-            continue
-        gcat = rooted_word_graph(concat(w1, w2)).graph
-        g1, g2 = rooted_word_graph(w1).graph, rooted_word_graph(w2).graph
-        gprod = cartesian_product(g1, g2)
-        if not is_isomorphic(gcat, gprod):
-            report("#6c (coprime concatenation = product)", False,
-                   f"failed on {w1!r}, {w2!r}")
-        b1, b2 = _betti_by_rational_rank(g1), _betti_by_rational_rank(g2)
-        kunneth = [sum(b1[i] * b2[n - i] for i in range(len(b1)) if 0 <= n - i < len(b2))
-                   for n in range(len(b1) + len(b2) - 1)]
-        if _betti_by_rational_rank(gcat) != kunneth:
-            report("#6c (coprime concatenation = product)", False,
-                   f"Kunneth formula fails on {w1!r}, {w2!r}")
-        done += 1
-    report("#6c (coprime concatenation = product)", True,
-           "200 coprime pairs verified, graphs and rational Betti numbers")
+    report("#6c (coprime concatenation = product)",
+           *SUITES["product"](random.Random(20240903), 200))
 
 
 def test_kunneth_on_factors_with_homology():
@@ -317,29 +263,20 @@ def test_kunneth_on_factors_with_homology():
     g, h = (rooted_word_graph(Dow(parse_word(w))).graph for w in ("11232344", "11233244"))
     for a, b, expected in ((t3, t3, [1, 2, 1]), (t3, g, [1, 1, 2, 2]),
                            (g, h, [1, 0, 4, 0, 4]), (t3, t5, [1, 3, 8, 6])):
-        ba, bb = _betti_by_rational_rank(a), _betti_by_rational_rank(b)
-        kunneth = [sum(ba[i] * bb[n - i] for i in range(len(ba)) if 0 <= n - i < len(bb))
-                   for n in range(len(ba) + len(bb) - 1)]
-        assert _betti_by_rational_rank(cartesian_product(a, b)) == expected == kunneth
+        kunneth = convolve(rational_betti(a), rational_betti(b))
+        assert rational_betti(cartesian_product(a, b)) == expected == kunneth
 
 
 def test_criterion_6d_snf_oracles():
+    # the suite checks rank and divisibility; the minor-gcd oracle then
+    # takes the suite's matrices of dimensions <= 5
+    ok, detail = SUITES["snf"](random.Random(20240904), 200)
     rng = random.Random(20240904)
     for case in range(200):
-        m = _random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
-        res = snf(m)
-        if res.rank != rational_rank(m):
-            report("#6d (SNF vs rank and minor-gcd oracles)", False,
-                   f"rank mismatch on case {case}")
-        for a, b in zip(res.invariant_factors, res.invariant_factors[1:]):
-            if b % a:
-                report("#6d (SNF vs rank and minor-gcd oracles)", False,
-                       f"chain broken on case {case}: {res.invariant_factors}")
-        if m.nrows <= 5 and m.ncols <= 5 and res.invariant_factors != minor_gcd_invariant_factors(m):
-            report("#6d (SNF vs rank and minor-gcd oracles)", False,
-                   f"minor-gcd mismatch on case {case}")
-    report("#6d (SNF vs rank and minor-gcd oracles)", True,
-           "200 matrices verified (minor-gcd oracle on dims <= 5)")
+        m = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+        if m.nrows <= 5 and m.ncols <= 5 and snf(m).invariant_factors != minor_gcd_invariant_factors(m):
+            ok, detail = False, f"minor-gcd mismatch on case {case}"
+    report("#6d (SNF vs rank and minor-gcd oracles)", ok, detail)
 
 
 def test_criterion_7_determinism(capsys):

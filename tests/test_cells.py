@@ -3,7 +3,6 @@
 import gc
 import random
 from functools import partial
-from itertools import combinations, permutations
 
 import pytest
 
@@ -25,27 +24,16 @@ from prodsim import (
     three_square_sphere,
     tennis_sphere,
 )
-from prodsim.cells import _block_sign, _partitions, _positions, _shape_rule, complex_to_json
-from prodsim.cli import _random_consistent_digraph, _tangled_births
-from oracles import simplex_digraph
-
-
-def canonical_with_sign(shape, grid):
-    """Oracle: sort factors into canonical order, equal dimensions by the
-    second vertex on each axis; the sign is the orientation parity of the
-    factor-block permutation (blocks weighted by their dimensions)."""
-    shape = tuple(shape)
-    grid = tuple(grid)
-    k = len(shape)
-    if k <= 1:
-        return Cell(shape, grid), 1
-    axes = _shape_rule(shape)[0]
-    order = sorted(range(k), key=lambda i: (-shape[i], grid[axes[i][1]]))
-    if order == list(range(k)):
-        return Cell(shape, grid), 1
-    new_grid = tuple(grid[p] for p in _positions([axes[i] for i in order]))
-    return (Cell(tuple(shape[i] for i in order), new_grid),
-            _block_sign(shape, order))
+from prodsim.cells import _partitions, _shape_rule, complex_to_json
+from prodsim.cli import _tangled_births
+from oracles import (
+    brute_force_cells,
+    canonical_with_sign,
+    random_consistent_digraph,
+    random_digraph,
+    random_dow,
+    simplex_digraph,
+)
 
 
 def edge_graph(a="a", b="b"):
@@ -62,19 +50,6 @@ def product(*graphs):
     for h in graphs[1:]:
         g = cartesian_product(g, h)
     return g
-
-
-def count_squares_brute(g):
-    """Oracle: four-vertex subsets whose induced subgraph is exactly the
-    square digraph s -> a, s -> b, a -> t, b -> t."""
-    count = 0
-    for quad in combinations(sorted(g.vertices), 4):
-        induced = {(u, v) for u in quad for v in quad if u != v and g.has_edge(u, v)}
-        for s, a, b, t in permutations(quad):
-            if a < b and induced == {(s, a), (s, b), (a, t), (b, t)}:
-                count += 1
-                break
-    return count
 
 
 def cells_by_factor_count(g, max_dim, simplices):
@@ -137,18 +112,6 @@ def add_layer_per_grid(shape, smaller, fwd, adj):
     return found
 
 
-def random_digraph_with_2_cycles(rng, n):
-    vs = [f"v{i}" for i in range(n)]
-    edges = []
-    for i, j in combinations(range(n), 2):
-        r = rng.random()
-        if r < 0.55:
-            edges.append((vs[i], vs[j]))
-        if 0.45 < r < 0.65:
-            edges.append((vs[j], vs[i]))
-    return Digraph(vs, edges)
-
-
 class TestCellSearch:
     def test_runs_match_the_per_grid_search(self):
         # the row masks of a run of predecessor grids are worked out a grid
@@ -181,7 +144,7 @@ class TestCellSearch:
         def check(rng, size, run):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cells_module, "_add_layer", layer(run))
-                for g in fixed + [random_digraph_with_2_cycles(rng, size)]:
+                for g in fixed + [random_digraph(rng, size, 0.55, (0.45, 0.65))]:
                     build_complex(g, 5)
 
         check()
@@ -246,7 +209,7 @@ class TestProdCells:
     def test_cube_census(self):
         g = cube_graph()
         cx = build_complex(g, 3)
-        assert count_squares_brute(g) == 6
+        assert len(brute_force_cells(g, (1, 1))) == 6
         assert len([c for c in cx.labelled(2) if c.shape == (1, 1)]) == 6
         assert len(cx.labelled(3)) == 1
         assert cx.labelled(3)[0].shape == (1, 1, 1)
@@ -255,50 +218,10 @@ class TestProdCells:
     def test_squares_match_brute_force_on_random_dags(self):
         rng = random.Random(71)
         for _ in range(40):
-            n = rng.randint(3, 7)
-            vs = [f"v{i}" for i in range(n)]
-            es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < 0.5]
-            g = Digraph(vs, es)
+            g = random_digraph(rng, rng.randint(3, 7), 0.5)
             cx = build_complex(g, 2)
             squares = [c for c in cx.labelled(2) if c.shape == (1, 1)]
-            assert len(squares) == count_squares_brute(g)
-
-
-def _skeleton_edges(shape):
-    sizes = [n + 1 for n in shape]
-    import itertools
-    multis = list(itertools.product(*(range(s) for s in sizes)))
-    edges = set()
-    for i, a in enumerate(multis):
-        for j, b in enumerate(multis):
-            diff = [k for k in range(len(shape)) if a[k] != b[k]]
-            if len(diff) == 1 and a[diff[0]] < b[diff[0]]:
-                edges.add((i, j))
-    return multis, edges
-
-
-def brute_force_cells(g, shape):
-    """Oracle: try every injective assignment of vertices to grid positions
-    and keep those whose induced subgraph equals the product skeleton."""
-    multis, skeleton = _skeleton_edges(shape)
-    total = len(multis)
-    found = set()
-    for subset in combinations(sorted(g.vertices), total):
-        for perm in permutations(subset):
-            ok = True
-            for i in range(total):
-                for j in range(total):
-                    if i == j:
-                        continue
-                    if g.has_edge(perm[i], perm[j]) != ((i, j) in skeleton):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.add(canonical_with_sign(shape, perm)[0])
-    return found
+            assert set(squares) == brute_force_cells(g, (1, 1))
 
 
 class TestBruteForceDimensionThree:
@@ -315,12 +238,7 @@ class TestBruteForceDimensionThree:
         chopped = Digraph(prism.vertices,
                           [e for e in prism.edges if e != ("(a|x)", "(b|x)")])
         cases.append(chopped)
-        for _ in range(4):
-            n = rng.randint(5, 8)
-            vs = [f"v{i}" for i in range(n)]
-            es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < 0.55]
-            cases.append(Digraph(vs, es))
+        cases += [random_digraph(rng, rng.randint(5, 8), 0.55) for _ in range(4)]
         # reciprocal pairs and directed cycles: a 2-cycle inside a grid must
         # reject the cell, while cells beside it must survive
         cases += [
@@ -332,18 +250,9 @@ class TestBruteForceDimensionThree:
         ]
         rng = random.Random(109)
         for _ in range(6):
-            n = rng.randint(5, 7)
-            vs = [f"v{i}" for i in range(n)]
-            es = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    r = rng.random()
-                    if r < 0.6:
-                        es.append((vs[i], vs[j]))
-                    if 0.5 < r < 0.7:
-                        es.append((vs[j], vs[i]))
-            a, b, c = rng.sample(vs, 3)
-            cases.append(Digraph(vs, es + [(a, b), (b, c), (c, a)]))
+            g = random_digraph(rng, rng.randint(5, 7), 0.6, (0.5, 0.7))
+            a, b, c = rng.sample(g.vertices, 3)
+            cases.append(Digraph(g.vertices, [*g.edges, (a, b), (b, c), (c, a)]))
         return cases
 
     def test_cell_census_matches_oracle(self):
@@ -395,9 +304,7 @@ class TestBuildComplex:
     def test_face_closure(self):
         rng = random.Random(73)
         for _ in range(30):
-            word = [s for s in range(1, rng.randint(1, 5) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            cx = build_complex(rooted_word_graph(Dow(word)).graph, 4)
+            cx = build_complex(rooted_word_graph(random_dow(rng, rng.randint(1, 5))).graph, 4)
             for d in range(1, 5):
                 below = set(cx.labelled(d - 1))
                 for cell in cx.labelled(d):
@@ -555,13 +462,8 @@ class TestFacets:
             facets(Cell((), ("v",)))
 
     def test_boundary_squares_to_zero_everywhere(self):
-        rng = random.Random(79)
-        graphs = [cube_graph(), three_square_sphere(), tennis_sphere(True)]
-        for _ in range(25):
-            word = [s for s in range(1, rng.randint(1, 5) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            graphs.append(rooted_word_graph(Dow(word)).graph)
-        for g in graphs:
+        # random word graphs are the `boundary` suite's (criterion 6a)
+        for g in (cube_graph(), three_square_sphere(), tennis_sphere(True)):
             cx = build_complex(g, 4)
             cx.release_cells()
 
@@ -660,7 +562,7 @@ class TestBoundaryMatrix:
         @given(st.randoms(use_true_random=False), st.integers(2, 8), st.integers(1, 5),
                st.integers(1, 40))
         def check(rng, size, max_dim, run):
-            g = _random_consistent_digraph(rng, size)
+            g = random_consistent_digraph(rng, size)
             built = fixed + [(g, build_complex(g, max_dim))]
             with pytest.MonkeyPatch.context() as mp:
                 # short runs of a shape, so runs end inside a shape too

@@ -295,6 +295,15 @@ class TestTable:
         assert code == 3
         assert "# budget exceeded" in out
 
+    def test_homology_budget_counts_the_word_graph(self, capsys, monkeypatch):
+        # the clock starts before the word graph, which alone can take many
+        # seconds (global 7), so a spent budget never builds it
+        calls = []
+        monkeypatch.setattr(cli, "_graph_from_source", calls.append)
+        code, out, _ = run(capsys, "homology", "global", "7", "--budget", "0")
+        assert code == 3 and calls == []
+        assert out == "# budget exceeded (before complex construction); no results\n"
+
 
 class TestDeterminism:
     def test_table_byte_identical(self, capsys):
@@ -343,19 +352,33 @@ class TestVerify:
                                     "suite snf: SKIPPED (budget exceeded)"]
 
     def test_product_suite_checks_the_kunneth_formula(self, capsys, monkeypatch):
-        # a homology one too large in degree 0 keeps every graph isomorphism
-        # but breaks the Kunneth formula: [2] is not the convolution [2] * [2]
-        real = cli.homology_summary
-
-        def off_by_one(cx, **kwargs):
-            summary = real(cx, **kwargs)
-            summary.betti[0] += 1
-            return summary
-
-        monkeypatch.setattr(cli, "homology_summary", off_by_one)
+        # ranks one too small keep every graph isomorphism but give every
+        # connected graph beta0 = 2, and [2, ...] is not the convolution of
+        # two such
+        real = cli.rational_rank
+        monkeypatch.setattr(cli, "rational_rank", lambda m: real(m) - 1)
         code, out, _ = run(capsys, "verify", "--suite", "product", "--cases", "3")
         assert code == 1
         assert out.startswith("suite product: FAIL (concatenation homology breaks the Kunneth")
+
+    def test_product_suite_fails_when_no_pair_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "are_coprime", lambda w1, w2: False)
+        code, out, _ = run(capsys, "verify", "--suite", "product", "--cases", "5")
+        assert code == 1
+        assert out == "suite product: FAIL (only 0 coprime pairs of 5 in 250 attempts)\n"
+
+    def test_reverse_suite_fails_on_a_non_isomorphic_pair(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_isomorphic", lambda g, h: False)
+        code, out, _ = run(capsys, "verify", "--suite", "reverse", "--cases", "5")
+        assert code == 1
+        assert out.startswith("suite reverse: FAIL (reverse graph not isomorphic for ")
+
+    def test_snf_suite_fails_on_a_wrong_rank(self, capsys, monkeypatch):
+        real = cli.rational_rank
+        monkeypatch.setattr(cli, "rational_rank", lambda m: real(m) + 1)
+        code, out, _ = run(capsys, "verify", "--suite", "snf", "--cases", "5")
+        assert code == 1
+        assert out.startswith("suite snf: FAIL (snf rank disagrees with rational rank on ")
 
     def test_boundary_not_squaring_to_zero_fails(self, capsys, monkeypatch):
         # every cell's first facet gets the wrong sign, injected into the

@@ -8,7 +8,6 @@ from prodsim import (
     analyze,
     build_complex,
     construct,
-    homology_summary,
     lantern,
     mixed,
     multiloop,
@@ -17,10 +16,7 @@ from prodsim import (
     tennis_sphere,
     three_square_sphere,
 )
-
-
-def betti(g, max_dim=3):
-    return homology_summary(build_complex(g, max_dim)).betti
+from oracles import betti
 
 
 class TestWirings:

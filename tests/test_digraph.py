@@ -20,7 +20,7 @@ from prodsim import (
     to_dot,
     to_json_obj,
 )
-from oracles import simplex_digraph
+from oracles import random_digraph, simplex_digraph
 
 
 def weakly_not_consistently_directed_graph():
@@ -71,11 +71,8 @@ class TestAnalyze:
     def test_report_invariant(self):
         rng = random.Random(23)
         for _ in range(100):
-            n = rng.randint(1, 8)
-            vs = [f"v{i}" for i in range(n)]
-            es = {(vs[i], vs[j]) for i in range(n) for j in range(n)
-                  if i != j and rng.random() < 0.3}
-            rep = analyze(Digraph(vs, es))
+            # each ordered pair an edge with probability 0.3, independently
+            rep = analyze(random_digraph(rng, rng.randint(1, 8), 0.3, (0.21, 0.51)))
             expected = (rep.weakly_connected and rep.acyclic
                         and len(rep.sources) == 1 and len(rep.targets) == 1)
             assert rep.consistently_directed == expected
@@ -99,16 +96,16 @@ class TestCartesianProduct:
     def test_commutative_up_to_isomorphism(self):
         rng = random.Random(31)
         for _ in range(30):
-            g = _random_digraph(rng, 4)
-            h = _random_digraph(rng, 3)
+            g = random_digraph(rng, 4, 0.5)
+            h = random_digraph(rng, 3, 0.5)
             assert is_isomorphic(cartesian_product(g, h), cartesian_product(h, g))
 
     def test_associative_up_to_isomorphism(self):
         rng = random.Random(37)
         for _ in range(15):
-            g = _random_digraph(rng, 3)
-            h = _random_digraph(rng, 3)
-            k = _random_digraph(rng, 2)
+            g = random_digraph(rng, 3, 0.5)
+            h = random_digraph(rng, 3, 0.5)
+            k = random_digraph(rng, 2, 0.5)
             a = cartesian_product(cartesian_product(g, h), k)
             b = cartesian_product(g, cartesian_product(h, k))
             assert is_isomorphic(a, b)
@@ -117,8 +114,8 @@ class TestCartesianProduct:
         rng = random.Random(41)
         count = 0
         while count < 40:
-            g = _random_digraph(rng, rng.randint(2, 5))
-            h = _random_digraph(rng, rng.randint(2, 5))
+            g = random_digraph(rng, rng.randint(2, 5), 0.5)
+            h = random_digraph(rng, rng.randint(2, 5), 0.5)
             prod_ok = analyze(cartesian_product(g, h)).consistently_directed
             both_ok = (analyze(g).consistently_directed
                        and analyze(h).consistently_directed)
@@ -178,7 +175,7 @@ class TestIsomorphism:
     def test_witness_preserves_edges(self):
         rng = random.Random(43)
         for _ in range(50):
-            g = _random_digraph(rng, rng.randint(2, 7))
+            g = random_digraph(rng, rng.randint(2, 7), 0.5)
             perm = list(g.vertices)
             rng.shuffle(perm)
             mapping = dict(zip(g.vertices, perm))
@@ -211,7 +208,7 @@ class TestIsomorphism:
         rng = random.Random(131)
         verdicts = []
         while len(verdicts) < 200:
-            g = _random_digraph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+            g = random_digraph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
             edges = sorted(g.edges)
             if len(verdicts) % 2:
                 non_edges = [(u, v) for u in g.vertices for v in g.vertices
@@ -258,9 +255,3 @@ class TestExport:
         g = Digraph(["b", "a"], [("b", "a")])
         obj = to_json_obj(g)
         assert obj == {"vertices": ["a", "b"], "edges": [["b", "a"]]}
-
-
-def _random_digraph(rng, n, p=0.5):
-    vs = [f"v{i}" for i in range(n)]
-    es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Digraph(vs, es)

@@ -22,7 +22,7 @@ from prodsim import (
     successors,
     tangled_cord,
 )
-from oracles import dow
+from oracles import dow, random_dow
 
 
 def texts(words):
@@ -62,12 +62,10 @@ class TestCanonicalForm:
         rng = random.Random(7)
         for _ in range(200):
             size = rng.randint(1, 6)
-            word = [s for s in range(1, size + 1) for _ in range(2)]
-            rng.shuffle(word)
-            base = Dow(word)
+            base = random_dow(rng, size)
             perm = list(range(1, size + 1))
             rng.shuffle(perm)
-            relabeled = [perm[s - 1] for s in word]
+            relabeled = [perm[s - 1] for s in base.symbols]
             assert Dow(relabeled) == base
 
 
@@ -89,9 +87,7 @@ class TestReverse:
     def test_involution(self):
         rng = random.Random(3)
         for _ in range(200):
-            word = [s for s in range(1, rng.randint(1, 6) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 6))
             assert w.reverse().reverse() == w
 
 
@@ -116,9 +112,7 @@ class TestMaximalFactors:
     def test_partition_property(self):
         rng = random.Random(11)
         for _ in range(300):
-            word = [s for s in range(1, rng.randint(1, 7) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 7))
             covered = []
             for f in maximal_factors(w):
                 covered.extend(f.letters)
@@ -153,9 +147,7 @@ class TestDeletion:
     def test_length_accounting(self):
         rng = random.Random(5)
         for _ in range(200):
-            word = [s for s in range(1, rng.randint(1, 6) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 6))
             for f in maximal_factors(w):
                 assert len(delete_factor(w, f)) == len(w) - 2 * len(f)
 
@@ -182,9 +174,7 @@ class TestSuccessors:
     def test_reverse_duality(self):
         rng = random.Random(13)
         for _ in range(200):
-            word = [s for s in range(1, rng.randint(1, 6) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 6))
             lhs = {v.reverse() for v in successors(w)}
             rhs = set(successors(w.reverse()))
             assert lhs == rhs
@@ -192,9 +182,7 @@ class TestSuccessors:
     def test_squarefree_deletions_distinct(self):
         rng = random.Random(17)
         for _ in range(300):
-            word = [s for s in range(1, rng.randint(1, 6) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 6))
             if is_squarefree(w):
                 assert len(successors(w)) == len(maximal_factors(w))
 

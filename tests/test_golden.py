@@ -13,7 +13,6 @@ import random
 import pytest
 
 from prodsim import (
-    Digraph,
     build_complex,
     cartesian_product,
     enumerate_dows,
@@ -29,7 +28,8 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import complex_to_json
-from prodsim.cli import _random_dow, main
+from prodsim.cli import main
+from oracles import random_dow, simplex_digraph
 
 GOLDEN = {
     "constructions": "8cbd3c1dd1ffb9f10ddfb62f3f276f740e26df8a591f38530dae1e265475657d",
@@ -81,10 +81,13 @@ def _words_le_4():
             yield w.text(), rooted_word_graph(w).graph
 
 
-def _random_words_6():
+def _words_6():
     rng = random.Random(0)
-    for _ in range(40):
-        w = _random_dow(rng, 6)
+    return [random_dow(rng, 6) for _ in range(40)]
+
+
+def _drawn_words_6():
+    for w in _words_6():
         yield w.text(), rooted_word_graph(w).graph
 
 
@@ -97,29 +100,25 @@ def _global_3():
     yield "global 3", global_word_graph(3).graph
 
 
-def _simplex(n, prefix):
-    vs = [f"{prefix}{i}" for i in range(n + 1)]
-    return Digraph(vs, [(vs[i], vs[j]) for i in range(n + 1) for j in range(i + 1, n + 1)])
-
-
 def _high_dim():
     # products whose cells reach dimension 5, with ties between equal factors
-    tri, tri2, tet = _simplex(2, "a"), _simplex(2, "b"), _simplex(3, "t")
-    e, f, h, k = (_simplex(1, p) for p in "efhk")
+    tri, tri2, tet = simplex_digraph(2, "a"), simplex_digraph(2, "b"), simplex_digraph(3, "t")
+    e, f, h, k = (simplex_digraph(1, p) for p in "efhk")
     x = cartesian_product
     yield "tri x tri", x(tri, tri2)
     yield "e x e x e x e", x(x(x(e, f), h), k)
     yield "tri x e x e", x(x(tri, e), f)
     yield "tet x e", x(tet, e)
     yield "tri x tri x e", x(x(tri, tri2), e)
-    yield "4-simplex", _simplex(4, "s")
+    yield "4-simplex", simplex_digraph(4, "s")
 
 
 def _high_dim_6():
     # facets of (3, 2) tie a reduced 3-factor with the 2-factor; three equal
     # factors tie in every facet; the middle edge is reordered on construction
-    tri, tri2, tri3, tet = _simplex(2, "a"), _simplex(2, "b"), _simplex(2, "c"), _simplex(3, "t")
-    e = _simplex(1, "e")
+    tri, tri2, tri3 = (simplex_digraph(2, p) for p in "abc")
+    tet = simplex_digraph(3, "t")
+    e = simplex_digraph(1, "e")
     x = cartesian_product
     yield "tet x tri", x(tet, tri)
     yield "tri x tri x tri", x(x(tri, tri2), tri3)
@@ -129,7 +128,7 @@ def _high_dim_6():
 GRAPH_GROUPS = {
     "constructions": _constructions,
     "words_le_4": _words_le_4,
-    "random_words_6": _random_words_6,
+    "random_words_6": _drawn_words_6,
     "tangled_cords": _tangled_cords,
     "global_3": _global_3,
     "high_dim": _high_dim,
@@ -155,9 +154,7 @@ def _word_graphs():
     for size in range(5):
         for w in enumerate_dows(size):
             yield w.text(), rooted_word_graph(w)
-    rng = random.Random(0)
-    for _ in range(40):
-        w = _random_dow(rng, 6)
+    for w in _words_6():
         yield w.text(), rooted_word_graph(w)
     for n in range(2, 10):
         yield f"tangled {n}", rooted_word_graph(tangled_cord(n))

@@ -28,15 +28,10 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
-from prodsim.cli import (
-    _born_by,
-    _random_consistent_digraph,
-    _random_matrix,
-    _tangled_births,
-)
+from prodsim.cli import SUITES, _born_by, _tangled_births
 from prodsim.digraph import longest_path_length
 from prodsim.homology import SnfResult, _rows, _snf, _unit_pass
-from oracles import minor_gcd_invariant_factors
+from oracles import minor_gcd_invariant_factors, random_consistent_digraph, random_dow, random_matrix
 
 
 class TestSnf:
@@ -69,17 +64,9 @@ class TestSnf:
             assert res.invariant_factors == minor_gcd_invariant_factors(m)
 
     def test_rank_matches_rational_rank(self):
-        rng = random.Random(89)
-        for _ in range(200):
-            nr, nc = rng.randint(1, 12), rng.randint(1, 12)
-            rows = [[rng.randint(-10, 10) if rng.random() < 0.6 else 0
-                     for _ in range(nc)] for _ in range(nr)]
-            m = IntMatrix.from_rows(rows)
-            res = snf(m)
-            assert res.rank == rational_rank(m)
-            for a, b in zip(res.invariant_factors, res.invariant_factors[1:]):
-                assert b % a == 0
-
+        # and the invariant factors form a divisibility chain
+        assert SUITES["snf"](random.Random(89), 200) == (
+            True, "200 matrices, ranks agree and chains divide")
 
     def test_against_sympy_invariant_factors(self):
         normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -88,7 +75,7 @@ class TestSnf:
         for i in range(200):
             nr, nc = rng.randint(1, 8), rng.randint(1, 8)
             bound = rng.choice((2, 10, 100))
-            m = _random_matrix(rng, nr, nc, bound) if i % 20 else IntMatrix(nr, nc)
+            m = random_matrix(rng, nr, nc, bound) if i % 20 else IntMatrix(nr, nc)
             expected = normalforms.invariant_factors(Matrix(m.to_rows()), domain=ZZ)
             assert snf(m).invariant_factors == tuple(abs(int(d)) for d in expected if d)
 
@@ -157,7 +144,7 @@ def test_unit_pass_keeps_the_column_index_exact():
         for r, row in rows.items():
             for c in row:
                 cols.setdefault(c, []).append(r)
-        m = IntMatrix.from_row_dicts(nrows, ncols, {r: dict(row) for r, row in rows.items()})
+        m = IntMatrix(nrows, ncols, {(r, c): v for r, row in rows.items() for c, v in row.items()})
         pivots, stuck = _unit_pass(rows, cols, [c for c in cols if rng.random() < 0.8])
         held = {}
         for r, row in rows.items():
@@ -200,7 +187,7 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
     rng = random.Random(20261018)
     corpus = [(rooted_word_graph(tangled_cord(n)).graph, 3) for n in range(2, 12)]
     corpus += [(rooted_word_graph(w).graph, 3) for size in range(5) for w in enumerate_dows(size)]
-    corpus += [(_random_consistent_digraph(rng, rng.randint(3, 8)), 5) for _ in range(40)]
+    corpus += [(random_consistent_digraph(rng, rng.randint(3, 8)), 5) for _ in range(40)]
     corpus += [(global_word_graph(n).graph, 3) for n in (3, 4)]
     for g, max_dim in corpus:
         cx = build_complex(g, max_dim)
@@ -275,9 +262,7 @@ class TestHomologySummary:
         # than the word's size and no cell has a higher dimension
         rng = random.Random(97)
         for _ in range(40):
-            word = [s for s in range(1, rng.randint(1, 5) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 5))
             cx = build_complex(rooted_word_graph(w).graph, max(1, w.size))
             assert cx.complete
 
@@ -354,8 +339,8 @@ def test_cartesian_product_obeys_kunneth():
     rng = random.Random(20240917)
     nontrivial = 0
     for _ in range(40):
-        g = _random_consistent_digraph(rng, rng.randint(3, 6))
-        h = _random_consistent_digraph(rng, rng.randint(3, 5))
+        g = random_consistent_digraph(rng, rng.randint(3, 6))
+        h = random_consistent_digraph(rng, rng.randint(3, 5))
         cg, hg = _complete_homology(g)
         ch, hh = _complete_homology(h)
         cp, hp = _complete_homology(cartesian_product(g, h))

@@ -10,7 +10,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prodsim import Digraph, build_complex, homology_summaries, homology_summary  # noqa: E402
-from prodsim.cli import _born_by, _random_consistent_digraph  # noqa: E402
+from prodsim.cli import _born_by  # noqa: E402
+from oracles import random_consistent_digraph  # noqa: E402
 
 
 @settings(max_examples=30, deadline=None)
@@ -20,7 +21,7 @@ def test_birth_prefixes_are_induced_subcomplexes(seed, size, births):
     # the induced-subgraph rule is local, so for any vertex births the cells
     # born by t are the complex of the subgraph on the vertices born by t,
     # and each prefix has the homology of that subgraph built afresh
-    g = _random_consistent_digraph(random.Random(seed), size)
+    g = random_consistent_digraph(random.Random(seed), size)
     birth = {v: births[i] for i, v in enumerate(sorted(g.vertices))}
     cx = build_complex(g, 3, birth)
     cell_births = cx.births

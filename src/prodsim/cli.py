@@ -109,18 +109,18 @@ def _emit(args, text: str):
 
 def cmd_normalize(args) -> int:
     word = _parse_dow(args.word)
-    _emit(args, format_word(word.symbols) + "\n")
+    _emit(args, format_word(word) + "\n")
     return 0
 
 
 def cmd_successors(args) -> int:
     word = _parse_dow(args.word)
-    lines = [f"word {format_word(word.symbols)}"]
+    lines = [f"word {format_word(word)}"]
     if word:
         for f in maximal_factors(word):
             lines.append(f"factor {format_word(f.letters)} {f.kind}")
     for v in successors(word):
-        lines.append(f"successor {format_word(v.symbols)}")
+        lines.append(f"successor {format_word(v)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -229,7 +229,7 @@ def cmd_table(args) -> int:
         summaries = homology_summaries(cx, [_born_by(cx.births, n) for n in ns])
         budget.check("after the homology")
         for n, summary in zip(ns, summaries):
-            lines.append("\t".join([str(n), format_word(tangled_cord(n).symbols, commas=True),
+            lines.append("\t".join([str(n), format_word(tangled_cord(n), commas=True),
                                     str(summary.betti.get(1, 0)), str(summary.betti.get(2, 0)),
                                     str(summary.cell_counts[0])]))
     except BudgetExceeded:

@@ -2,10 +2,12 @@
 
 A double occurrence word (DOW) uses every symbol of its alphabet exactly
 twice.  Ascending order relabels symbols to 1, 2, 3, ... in order of first
-appearance, which makes equality of equivalence classes plain sequence
-equality.  This module provides canonicalization, maximal repeat/return
-factor detection, factor deletion, and the word operations (reversal,
-concatenation, insertion, tangled cords) used to build word graphs.
+appearance, which makes equality of equivalence classes plain tuple
+equality: a ``Dow`` is the tuple of its canonical symbols.  This module
+provides canonicalization, maximal repeat/return factor detection (a
+return is a repeat whose second copy is reversed, so one routine grows
+both), factor deletion, and the word operations (reversal, concatenation,
+insertion, tangled cords) used to build word graphs.
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ def ascending_form(symbols) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Dow:
-    """A double occurrence word, stored in ascending-order canonical form.
+class Dow(tuple):
+    """A double occurrence word: the tuple of its ascending-order symbols.
 
     The constructor accepts any double occurrence sequence and relabels it,
-    so two ``Dow`` objects compare equal exactly when the input words are
-    ascending-order equivalent.  Instances are immutable and hashable.
+    so two words are equal exactly when they are ascending-order equivalent;
+    a ``Dow`` equals, hashes and sorts as the plain tuple of its symbols.
     """
 
-    __slots__ = ("symbols",)
+    __slots__ = ()
 
-    def __init__(self, symbols=()):
+    def __new__(cls, symbols=()):
         symbols = tuple(symbols)
         counts = {}
         for s in symbols:
@@ -63,48 +65,33 @@ class Dow:
         if bad:
             raise NotDoubleOccurrenceError(
                 f"symbols {bad} do not occur exactly twice in {symbols}")
-        object.__setattr__(self, "symbols", ascending_form(symbols))
+        return super().__new__(cls, ascending_form(symbols))
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The canonical symbols as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return len(self.symbols) // 2
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __bool__(self):
-        return bool(self.symbols)
-
-    def __eq__(self, other):
-        return isinstance(other, Dow) and self.symbols == other.symbols
-
-    def __lt__(self, other):
-        return self.symbols < other.symbols
-
-    def __le__(self, other):
-        return self.symbols <= other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
+        return len(self) // 2
 
     def __repr__(self):
-        return f"Dow({format_word(self.symbols)!r})"
+        return f"Dow({format_word(self)!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Dow is immutable")
+    def __reduce__(self):
+        # copies and every pickle protocol rebuild through the check above
+        return Dow, (tuple(self),)
 
     def reverse(self) -> "Dow":
         """Canonical form of the reversed word; an involution."""
-        return Dow(self.symbols[::-1])
+        return Dow(self[::-1])
 
     def is_palindrome(self) -> bool:
         return self.reverse() == self
 
     def text(self, commas=False) -> str:
-        return format_word(self.symbols, commas=commas)
+        return format_word(self, commas=commas)
 
 
 @dataclass(frozen=True)
@@ -123,36 +110,28 @@ class Factor:
         return len(self.letters)
 
 
-def _grow_repeat(w, p, q):
-    # intervals [p-r, p+s] and [q-r, q+s] carry equal subwords and stay disjoint
+def _grow(w, p, q, turn):
+    """Grow a factor through the occurrences p < q of one symbol: the ends
+    of [a, b] around p pair with f and g, which move from q by -turn and
+    +turn, so the second interval is [f, g] for a repeat (turn 1) and the
+    reversed [g, f] for a return (turn -1).  A step keeps a matching pair
+    while both intervals lie inside the word and the first ends before the
+    second starts.  Returns the length and the two spans."""
     n = len(w)
-    r = s = 0
+    a = b = p
+    f = g = q
     grown = True
     while grown:
         grown = False
-        if p - r - 1 >= 0 and p + s < q - r - 1 and w[p - r - 1] == w[q - r - 1]:
-            r += 1
+        if a > 0 and b < f - turn < n and w[a - 1] == w[f - turn]:
+            a -= 1
+            f -= turn
             grown = True
-        if q + s + 1 < n and p + s + 1 < q - r and w[p + s + 1] == w[q + s + 1]:
-            s += 1
+        if b + 1 < f and b + 1 < g + turn < n and w[b + 1] == w[g + turn]:
+            b += 1
+            g += turn
             grown = True
-    return r + s + 1, ((p - r, p + s), (q - r, q + s))
-
-
-def _grow_return(w, p, q):
-    # intervals [p-r, p+s] and [q-s, q+r]; the second holds the reversed subword
-    n = len(w)
-    r = s = 0
-    grown = True
-    while grown:
-        grown = False
-        if p - r - 1 >= 0 and q + r + 1 < n and w[p - r - 1] == w[q + r + 1]:
-            r += 1
-            grown = True
-        if p + s + 1 < q - s - 1 and w[p + s + 1] == w[q - s - 1]:
-            s += 1
-            grown = True
-    return r + s + 1, ((p - r, p + s), (q - s, q + r))
+    return b - a + 1, ((a, b), (f, g) if turn == 1 else (g, f))
 
 
 def maximal_factors(d: Dow) -> tuple[Factor, ...]:
@@ -161,25 +140,20 @@ def maximal_factors(d: Dow) -> tuple[Factor, ...]:
     Every symbol of the word lies in exactly one factor (its letter sets
     partition the alphabet).  Trivial one-letter factors are tagged "repeat".
     """
-    w = d.symbols
-    if not w:
+    if not d:
         raise EmptyWordError("the empty word has no factors")
     positions = {}
-    for i, s in enumerate(w):
+    for i, s in enumerate(d):
         positions.setdefault(s, []).append(i)
     factors = []
     assigned = set()
-    for s in w:
+    for s in d:
         if s in assigned:
             continue
         p, q = positions[s]
-        rep_len, rep_spans = _grow_repeat(w, p, q)
-        ret_len, ret_spans = _grow_return(w, p, q)
-        if ret_len > rep_len:
-            kind, spans = "return", ret_spans
-        else:
-            kind, spans = "repeat", rep_spans
-        letters = w[spans[0][0]:spans[0][1] + 1]
+        rep, ret = _grow(d, p, q, 1), _grow(d, p, q, -1)
+        kind, (_, spans) = ("return", ret) if ret[0] > rep[0] else ("repeat", rep)
+        letters = d[spans[0][0]:spans[0][1] + 1]
         factors.append(Factor(letters, kind, spans))
         assigned.update(letters)
     return tuple(factors)
@@ -195,8 +169,7 @@ def delete_factor(d: Dow, factor: Factor) -> Dow:
 def _delete(d: Dow, factor: Factor) -> Dow:
     # the two spans are disjoint and the first comes first
     (a, b), (c, e) = factor.spans
-    w = d.symbols
-    return Dow(w[:a] + w[b + 1:c] + w[e + 1:])
+    return Dow(d[:a] + d[b + 1:c] + d[e + 1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,7 +191,7 @@ def is_squarefree(d: Dow) -> bool:
 def concat(d1: Dow, d2: Dow) -> Dow:
     """Concatenation after relabeling d2 away from d1's alphabet."""
     shift = d1.size
-    return Dow(d1.symbols + tuple(s + shift for s in d2.symbols))
+    return Dow(d1 + tuple(s + shift for s in d2))
 
 
 def insert_between(x, y, z, u1, u2, v, kind="repeat") -> Dow:

@@ -15,7 +15,7 @@ from .dow import Dow, concat, format_word, successors
 
 def word_label(w: Dow) -> str:
     """Vertex label: comma-separated symbols, "e" for the empty word."""
-    return format_word(w.symbols, commas=True)
+    return format_word(w, commas=True)
 
 
 @dataclass(frozen=True)

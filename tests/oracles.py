@@ -2,13 +2,16 @@
 
 - Random generators.  `random_dow`, `random_consistent_digraph` and
   `random_matrix` are the ones `prodsim verify` ships, re-exported from the
-  CLI; `random_digraph` gives DAGs and graphs with 2-cycles, and
-  `random_packed` matrices with empty rows and huge values.
+  CLI; `random_digraph` gives DAGs and graphs with 2-cycles,
+  `random_packed` matrices with empty rows and huge values,
+  `random_dense_matrix` small dense ones and `random_unit_heavy_matrix`
+  sparse ones of mostly unit entries.
 - Fixed inputs: `dow` parses a word, `simplex_digraph` is the transitive
   tournament.
-- Oracles: `canonical_with_sign` and `brute_force_cells` for the cell
-  search, `minor_gcd_invariant_factors` for the Smith form, `betti` (the
-  Smith path's Betti numbers), and `rational_betti` and `convolve`, the
+- Oracles: `longest_repeat_and_return` for the maximal factors of a word,
+  `canonical_with_sign` and `brute_force_cells` for the cell search,
+  `minor_gcd_invariant_factors` for the Smith form, `betti` (the Smith
+  path's Betti numbers), and `rational_betti` and `convolve`, the
   `product` suite's rational Betti numbers and Kunneth formula.
 - Reference tables: `TANGLED_REFERENCE`.
 """
@@ -69,6 +72,44 @@ def random_packed(rng, nrows, ncols):
             if rng.random() < 0.4:
                 entries[r, c] = rng.choice((1, -1)) * rng.choice((1, 2, 3, 2**64 + 1, 3**50))
     return IntMatrix(nrows, ncols, entries)
+
+
+def random_dense_matrix(rng):
+    """1-5 rows and columns, every entry drawn from -10..10."""
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    return IntMatrix.from_rows([[rng.randint(-10, 10) for _ in range(nc)] for _ in range(nr)])
+
+
+def random_unit_heavy_matrix(rng):
+    """0-10 rows and columns, each entry present with a density drawn per
+    matrix, values from 1, -1, 2, -2, 3, -3, 4, 6, so that fill-in can turn a
+    unit into a non-unit and back."""
+    values = (1, -1, 2, -2, 3, -3, 4, 6)
+    nr, nc, density = rng.randint(0, 10), rng.randint(0, 10), rng.random()
+    return IntMatrix(nr, nc, {(r, c): rng.choice(values)
+                              for r in range(nr) for c in range(nc)
+                              if rng.random() < density})
+
+
+def longest_repeat_and_return(w, symbol):
+    """Oracle: the lengths of the longest repeat and the longest return
+    through the two occurrences p < q of ``symbol`` in ``w``, trying every
+    extent (r, s).  A repeat needs w[p - r .. p + s] == w[q - r .. q + s], a
+    return needs the reverse of w[p - r .. p + s] == w[q - s .. q + r], and
+    both need the two intervals inside the word, the first ending before the
+    second starts."""
+    w = tuple(w)
+    n = len(w)
+    p, q = (i for i, x in enumerate(w) if x == symbol)
+    repeat = ret = 0
+    for r in range(p + 1):
+        for s in range(n - p):
+            u = w[p - r:p + s + 1]
+            if p + s < q - r and q + s < n and w[q - r:q + s + 1] == u:
+                repeat = max(repeat, len(u))
+            if p + s < q - s and q + r < n and w[q - s:q + r + 1] == u[::-1]:
+                ret = max(ret, len(u))
+    return repeat, ret
 
 
 def canonical_with_sign(shape, grid):

@@ -1,5 +1,7 @@
 """Word-level operations: canonical forms, factors, deletions, insertions."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from prodsim import (
     successors,
     tangled_cord,
 )
-from oracles import dow, random_dow
+from oracles import dow, longest_repeat_and_return, random_dow
 
 
 def texts(words):
@@ -69,6 +71,40 @@ class TestCanonicalForm:
             assert Dow(relabeled) == base
 
 
+class TestValueSemantics:
+    # a Dow is the tuple of its canonical symbols
+    def test_equals_hashes_and_sorts_as_its_tuple(self):
+        assert Dow((2, 1, 2, 1)) == (1, 2, 1, 2)
+        assert hash(dow("2121")) == hash((1, 2, 1, 2))
+        assert {dow("1212"): "square"}[(1, 2, 1, 2)] == "square"
+        words = [dow("1221"), (1, 1), dow("1212"), ()]
+        assert sorted(words) == [(), (1, 1), (1, 2, 1, 2), (1, 2, 2, 1)]
+
+    def test_symbols_is_a_plain_tuple(self):
+        w = dow("122313")
+        assert type(w.symbols) is tuple
+        assert w.symbols == (1, 2, 2, 3, 1, 3) == w
+
+    def test_attributes_cannot_be_set(self):
+        w = dow("1212")
+        for name in ("symbols", "size", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, ())
+        assert w.symbols == (1, 2, 1, 2)
+
+    def test_copy_and_pickle_rebuild_through_validation(self):
+        w = dow("133212")
+        twins = [copy.copy(w), copy.deepcopy(w)]
+        twins += [pickle.loads(pickle.dumps(w, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is Dow and twin == w
+        # protocol 0 writes each symbol as "I<n>": 122313 becomes 122113
+        tampered = pickle.dumps(w, 0).replace(b"I3\n", b"I1\n", 1)
+        with pytest.raises(NotDoubleOccurrenceError):
+            pickle.loads(tampered)
+
+
 class TestReverse:
     def test_reverse_example(self):
         assert dow("122133").reverse().text() == "112332"
@@ -108,6 +144,17 @@ class TestMaximalFactors:
     def test_empty_word_error(self):
         with pytest.raises(EmptyWordError):
             maximal_factors(Dow())
+
+    def test_matches_the_definition(self):
+        # every letter of a factor has the factor's length and kind as its
+        # longest repeat or return; the longer wins and a tie is a repeat
+        for size in range(1, 6):
+            for w in enumerate_dows(size):
+                for f in maximal_factors(w):
+                    for letter in f.letters:
+                        repeat, ret = longest_repeat_and_return(w, letter)
+                        expected = (ret, "return") if ret > repeat else (repeat, "repeat")
+                        assert (len(f), f.kind) == expected, (w, f, letter)
 
     def test_partition_property(self):
         rng = random.Random(11)

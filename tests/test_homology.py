@@ -31,7 +31,14 @@ from prodsim.cells import InconsistentComplexError
 from prodsim.cli import SUITES, _born_by, _tangled_births
 from prodsim.digraph import longest_path_length
 from prodsim.homology import SnfResult, _rows, _snf, _unit_pass
-from oracles import minor_gcd_invariant_factors, random_consistent_digraph, random_dow, random_matrix
+from oracles import (
+    minor_gcd_invariant_factors,
+    random_consistent_digraph,
+    random_dense_matrix,
+    random_dow,
+    random_matrix,
+    random_unit_heavy_matrix,
+)
 
 
 class TestSnf:
@@ -57,11 +64,8 @@ class TestSnf:
     def test_against_minor_gcd_oracle(self):
         rng = random.Random(83)
         for _ in range(200):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.randint(-10, 10) for _ in range(nc)] for _ in range(nr)]
-            m = IntMatrix.from_rows(rows)
-            res = snf(m)
-            assert res.invariant_factors == minor_gcd_invariant_factors(m)
+            m = random_dense_matrix(rng)
+            assert snf(m).invariant_factors == minor_gcd_invariant_factors(m)
 
     def test_rank_matches_rational_rank(self):
         # and the invariant factors form a divisibility chain
@@ -88,12 +92,7 @@ class TestSnf:
                  IntMatrix.from_rows([[1, 1], [-1, 1]]),
                  IntMatrix.from_rows([[2, -1, 0], [1, 1, -2], [0, 1, -1]])]
         rng = random.Random(127)
-        values = (1, -1, 2, -2, 3, -3, 4, 6)
-        for _ in range(2000):
-            nr, nc, density = rng.randint(0, 10), rng.randint(0, 10), rng.random()
-            cases.append(IntMatrix(nr, nc, {(r, c): rng.choice(values)
-                                            for r in range(nr) for c in range(nc)
-                                            if rng.random() < density}))
+        cases += [random_unit_heavy_matrix(rng) for _ in range(2000)]
         for m in cases:
             assert snf(m) == _snf(_rows(m)), m.triplets()
 

@@ -150,6 +150,7 @@ def cmd_homology(args) -> int:
     try:
         budget.check("before complex construction")
         g = _graph_from_source(args)
+        budget.check("after graph construction")
         cx = build_complex(g, args.max_dim)
         del g  # nothing reads the graph once its cells are found
         budget.check("after complex construction")
@@ -218,6 +219,7 @@ def cmd_table(args) -> int:
         budget.check("before the complex")
         print(f"table: computing tangled cord n={args.n_max}", file=sys.stderr)
         g = rooted_word_graph(tangled_cord(args.n_max)).graph
+        budget.check("after the word graph")
         # beta2 is exact with cells through dim 3; nothing reads the graph
         # once its cells are found
         cx = build_complex(g, 3, _tangled_births(g, args.n_max))

@@ -33,15 +33,19 @@ class Digraph:
             if u not in seen or v not in seen:
                 raise ValueError(f"edge [{u!r},{v!r}] has endpoint outside the vertex set")
             es.add((u, v))
+        # one copy at a time: the edge set is frozen once, and each
+        # neighbour set is frozen as it leaves its builder
+        del seen
+        es = frozenset(es)
         out = {v: set() for v in vs}
         inn = {v: set() for v in vs}
         for u, v in es:
             out[u].add(v)
             inn[v].add(u)
         object.__setattr__(self, "vertices", tuple(vs))
-        object.__setattr__(self, "edges", frozenset(es))
-        object.__setattr__(self, "_out", {v: frozenset(s) for v, s in out.items()})
-        object.__setattr__(self, "_in", {v: frozenset(s) for v, s in inn.items()})
+        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "_out", {v: frozenset(out.pop(v)) for v in vs})
+        object.__setattr__(self, "_in", {v: frozenset(inn.pop(v)) for v in vs})
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")

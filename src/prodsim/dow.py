@@ -47,9 +47,14 @@ def ascending_form(symbols) -> tuple[int, ...]:
 class Dow(tuple):
     """A double occurrence word: the tuple of its ascending-order symbols.
 
-    The constructor accepts any double occurrence sequence and relabels it,
-    so two words are equal exactly when they are ascending-order equivalent;
-    a ``Dow`` equals, hashes and sorts as the plain tuple of its symbols.
+    The constructor accepts any double occurrence sequence, checks that
+    every symbol is a positive integer occurring exactly twice, and
+    relabels it, so two words are equal exactly when they are
+    ascending-order equivalent; a ``Dow`` equals, hashes and sorts as the
+    plain tuple of its symbols.  Words the package builds itself are double
+    occurrence words by construction and skip the check: deletions,
+    reversals, concatenations and tangled cords are only relabelled, and
+    ``enumerate_dows`` builds its words canonical.
     """
 
     __slots__ = ()
@@ -85,13 +90,19 @@ class Dow(tuple):
 
     def reverse(self) -> "Dow":
         """Canonical form of the reversed word; an involution."""
-        return Dow(self[::-1])
+        return _relabelled(self[::-1])
 
     def is_palindrome(self) -> bool:
         return self.reverse() == self
 
     def text(self, commas=False) -> str:
         return format_word(self, commas=commas)
+
+
+def _relabelled(symbols) -> Dow:
+    """The ``Dow`` of a double occurrence sequence built here: relabelled
+    to ascending order, without the constructor's check."""
+    return tuple.__new__(Dow, ascending_form(symbols))
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,23 @@ def _grow(w, p, q, turn):
     return b - a + 1, ((a, b), (f, g) if turn == 1 else (g, f))
 
 
+def _factor_spans(w) -> list:
+    """(kind, spans) of each maximal factor of the nonempty word ``w``, in
+    order of first occurrence: a symbol not yet in a factor starts the next
+    one at its first occurrence p, grown through its second one q."""
+    found = []
+    assigned = set()
+    for p, s in enumerate(w):
+        if s in assigned:
+            continue
+        q = w.index(s, p + 1)
+        rep, ret = _grow(w, p, q, 1), _grow(w, p, q, -1)
+        kind, (_, spans) = ("return", ret) if ret[0] > rep[0] else ("repeat", rep)
+        found.append((kind, spans))
+        assigned.update(w[spans[0][0]:spans[0][1] + 1])
+    return found
+
+
 def maximal_factors(d: Dow) -> tuple[Factor, ...]:
     """The maximal repeat/return factors of ``d``, in order of first occurrence.
 
@@ -142,42 +170,28 @@ def maximal_factors(d: Dow) -> tuple[Factor, ...]:
     """
     if not d:
         raise EmptyWordError("the empty word has no factors")
-    positions = {}
-    for i, s in enumerate(d):
-        positions.setdefault(s, []).append(i)
-    factors = []
-    assigned = set()
-    for s in d:
-        if s in assigned:
-            continue
-        p, q = positions[s]
-        rep, ret = _grow(d, p, q, 1), _grow(d, p, q, -1)
-        kind, (_, spans) = ("return", ret) if ret[0] > rep[0] else ("repeat", rep)
-        letters = d[spans[0][0]:spans[0][1] + 1]
-        factors.append(Factor(letters, kind, spans))
-        assigned.update(letters)
-    return tuple(factors)
+    return tuple(Factor(d[spans[0][0]:spans[0][1] + 1], kind, spans)
+                 for kind, spans in _factor_spans(d))
 
 
 def delete_factor(d: Dow, factor: Factor) -> Dow:
     """Remove both occurrence intervals of a maximal factor and normalize."""
     if factor not in maximal_factors(d):
         raise NotAMaximalFactorError(f"{factor} is not a maximal factor of {d!r}")
-    return _delete(d, factor)
-
-
-def _delete(d: Dow, factor: Factor) -> Dow:
-    # the two spans are disjoint and the first comes first
     (a, b), (c, e) = factor.spans
-    return Dow(d[:a] + d[b + 1:c] + d[e + 1:])
+    return _relabelled(d[:a] + d[b + 1:c] + d[e + 1:])
 
 
 @functools.lru_cache(maxsize=None)
 def successors(d: Dow) -> tuple[Dow, ...]:
-    """D(d): canonical single-deletion successors, deduplicated and sorted."""
+    """D(d): canonical single-deletion successors, deduplicated and sorted.
+
+    The two spans of a maximal factor are disjoint and the first comes
+    first, so slicing both out leaves a double occurrence word."""
     if not d:
         return ()
-    return tuple(sorted({_delete(d, f) for f in maximal_factors(d)}))
+    return tuple(sorted({_relabelled(d[:a] + d[b + 1:c] + d[e + 1:])
+                         for _, ((a, b), (c, e)) in _factor_spans(d)}))
 
 
 def is_squarefree(d: Dow) -> bool:
@@ -191,7 +205,7 @@ def is_squarefree(d: Dow) -> bool:
 def concat(d1: Dow, d2: Dow) -> Dow:
     """Concatenation after relabeling d2 away from d1's alphabet."""
     shift = d1.size
-    return Dow(d1 + tuple(s + shift for s in d2))
+    return _relabelled(d1 + tuple(s + shift for s in d2))
 
 
 def insert_between(x, y, z, u1, u2, v, kind="repeat") -> Dow:
@@ -229,7 +243,7 @@ def tangled_cord(n: int) -> Dow:
     for i in range(3, n + 1):
         word += [i - 2, i]
     word += [n - 1, n]
-    return Dow(word)
+    return _relabelled(word)
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -259,5 +273,5 @@ def format_word(symbols, commas=False) -> str:
     if not symbols:
         return "e"
     if not commas and max(symbols) <= 9:
-        return "".join(str(s) for s in symbols)
-    return ",".join(str(s) for s in symbols)
+        return "".join(map(str, symbols))
+    return ",".join(map(str, symbols))

@@ -8,6 +8,7 @@ graphs are consistently directed with source w and target the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .digraph import Digraph
 from .dow import Dow, concat, format_word, successors
@@ -59,7 +60,9 @@ def enumerate_dows(n: int) -> list[Dow]:
     The words of size k come from those of size k - 1: raise every symbol
     by one, put a 1 first and the second 1 at each later position.  Deleting
     both 1s of a canonical word and lowering the rest gives a canonical word
-    of size k - 1, so each word arises exactly once.
+    of size k - 1, so each word arises exactly once.  Every word built this
+    way is canonical already, so it becomes a ``Dow`` as it is, neither
+    checked nor relabelled.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -68,7 +71,7 @@ def enumerate_dows(n: int) -> list[Dow]:
         words = [(1, *raised[:j], 1, *raised[j:])
                  for raised in [tuple(s + 1 for s in w) for w in words]
                  for j in range(2 * k - 1)]
-    return sorted(map(Dow, words))
+    return sorted(map(partial(tuple.__new__, Dow), words))
 
 
 def global_word_graph(n: int) -> WordGraph:

@@ -240,7 +240,8 @@ class TestTable:
         monkeypatch.setattr(cli._Budget, "check", expiring)
         code, out, err = run(capsys, "table", "6")
         assert code == 3
-        assert labels == ["before the complex", "before the homology", "after the homology"]
+        assert labels == ["before the complex", "after the word graph", "before the homology",
+                          "after the homology"]
         assert "table: homology of n=2..6, one reduction per degree" in err
         assert out.splitlines() == ["n\tword\tbeta1\tbeta2\tvertices",
                                     "# budget exceeded; rows n>=2 omitted"]
@@ -267,6 +268,20 @@ class TestTable:
     def test_budget_before_the_complex_omits_every_row(self, capsys):
         code, out, _ = run(capsys, "table", "6", "--budget", "0")
         assert code == 3
+        assert out.splitlines()[1:] == ["# budget exceeded; rows n>=2 omitted"]
+
+    def test_budget_spent_on_the_word_graph_skips_the_cells(self, capsys, monkeypatch):
+        # a word graph that outlasts the budget is never searched for cells
+        calls = []
+
+        def slow_graph(word):
+            time.sleep(0.25)
+            return rooted_word_graph(word)
+
+        monkeypatch.setattr(cli, "rooted_word_graph", slow_graph)
+        monkeypatch.setattr(cli, "build_complex", lambda *args: calls.append(args))
+        code, out, _ = run(capsys, "table", "6", "--budget", "0.2")
+        assert code == 3 and calls == []
         assert out.splitlines()[1:] == ["# budget exceeded; rows n>=2 omitted"]
 
     def test_every_tangled_cord_is_born_in_the_largest_graph(self):
@@ -303,6 +318,22 @@ class TestTable:
         code, out, _ = run(capsys, "homology", "global", "7", "--budget", "0")
         assert code == 3 and calls == []
         assert out == "# budget exceeded (before complex construction); no results\n"
+
+    def test_homology_budget_spent_on_the_graph_skips_the_cells(self, capsys, monkeypatch):
+        # the clock is checked again between the graph and the cell search,
+        # whose memory grows with the graph (at global 7 it does not fit in
+        # memory), so a graph that outlasts the budget is never searched
+        calls = []
+
+        def slow_graph(args):
+            time.sleep(0.25)
+            return Digraph(["a", "b"], [("a", "b")])
+
+        monkeypatch.setattr(cli, "_graph_from_source", slow_graph)
+        monkeypatch.setattr(cli, "build_complex", lambda *args: calls.append(args))
+        code, out, _ = run(capsys, "homology", "global", "7", "--budget", "0.2")
+        assert code == 3 and calls == []
+        assert out == "# budget exceeded (after graph construction); no results\n"
 
 
 class TestDeterminism:

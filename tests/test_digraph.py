@@ -30,18 +30,28 @@ def weakly_not_consistently_directed_graph():
     return Digraph(vs, es)
 
 
+def raises_exactly(kind, message, *args):
+    # the exception's type itself, not a subclass, and its whole message
+    with pytest.raises(kind) as exc:
+        Digraph(*args)
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
 class TestDigraphBasics:
     def test_no_loops(self):
-        with pytest.raises(ValueError):
-            Digraph(["a"], [("a", "a")])
+        raises_exactly(ValueError, "loop edge ['a','a'] not allowed", ["a"], [("a", "a")])
 
     def test_endpoints_must_exist(self):
-        with pytest.raises(ValueError):
-            Digraph(["a"], [("a", "b")])
+        raises_exactly(ValueError, "edge ['a','b'] has endpoint outside the vertex set",
+                       ["a"], [("a", "b")])
+        raises_exactly(ValueError, "edge ['b','a'] has endpoint outside the vertex set",
+                       ["a"], [("b", "a")])
 
     def test_duplicate_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            Digraph(["a", "a"])
+        raises_exactly(ValueError, "duplicate vertex 'a'", ["a", "b", "a"])
+
+    def test_labels_must_be_strings(self):
+        raises_exactly(TypeError, "vertex labels must be strings, got 1", ["a", 1])
 
     def test_parallel_edges_collapse(self):
         g = Digraph(["a", "b"], [("a", "b"), ("a", "b")])

@@ -304,6 +304,30 @@ class TestTangledCord:
             assert tangled_cord(n - 1) in successors(tangled_cord(n))
 
 
+def test_words_the_program_builds_are_canonical():
+    # successors, reverse, concat and tangled_cord return words they built
+    # themselves; each must be a Dow that the checking constructor keeps
+    def canonical(v):
+        assert type(v) is Dow and Dow(tuple(v)) == v, v
+
+    by_size = [enumerate_dows(k) for k in range(6)]
+    for words in by_size:
+        for w in words:
+            canonical(w)
+            canonical(w.reverse())
+            canonical(concat(w, w))
+            canonical(concat(w, w.reverse()))
+            for v in successors(w):
+                canonical(v)
+    for a, left in enumerate(by_size):
+        for right in by_size[:6 - a]:
+            for u in left:
+                for v in right:
+                    canonical(concat(u, v))
+    for n in range(2, 21):
+        canonical(tangled_cord(n))
+
+
 class TestTextFormat:
     def test_parse_digits(self):
         assert parse_word("1213") == (1, 2, 1, 3)

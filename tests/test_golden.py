@@ -18,11 +18,13 @@ from prodsim import (
     enumerate_dows,
     global_word_graph,
     lantern,
+    maximal_factors,
     mixed,
     multiloop,
     path_square,
     rooted_word_graph,
     sphere_chain,
+    successors,
     tangled_cord,
     tennis_sphere,
     three_square_sphere,
@@ -39,6 +41,7 @@ GOLDEN = {
     "global_3": "7be622b7602b8a40f298b392cada14950d05638a9ab88d101bb68fe6f8999ec4",
     "high_dim": "6fda5398f8fd6c2e57b6e25ebf016c875c6e6bed46c104e900426fae00aff68b",
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
+    "word_layer": "4d031169382584ac329cd11e54ffc97cadd6ee11a58eb5e4d56fdba83717d769",
     "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
     "cli": "8fc58b76d79ff63a4b46e9f7a294656ec6ed1af94d21a35e0341031a1c1d3118",
     "benchmark_cli": "6a9cd2d0cac0d2c5278c1d42658a27580498489fd3c022f1886ee6b0928ca9cf",
@@ -162,6 +165,21 @@ def _word_graphs():
         yield f"global {n}", global_word_graph(n)
 
 
+def _word_layer():
+    # every word of size <= 6 in enumeration order, with its maximal factors
+    # as plain values and its successors in order
+    for size in range(7):
+        for w in enumerate_dows(size):
+            factors = ([(tuple(f.letters), f.kind, f.spans) for f in maximal_factors(w)]
+                       if w else [])
+            yield (f"{w.text(commas=True)}\n{factors!r}\n"
+                   + " ".join(v.text(commas=True) for v in successors(w)))
+
+
+def word_layer_digest():
+    return _digest(_word_layer())
+
+
 def word_graphs_digest():
     # the vertex order and the words order, which complex_to_json sorts away
     return _digest(f"{label}\n{wg.graph.vertices!r}\n{wg.graph.sorted_edges()!r}\n"
@@ -186,6 +204,11 @@ def test_complex_json_digest(group):
 def test_word_graphs_digest():
     got = word_graphs_digest()
     assert got == GOLDEN["word_graphs"], f"golden group 'word_graphs' changed: {got}"
+
+
+def test_word_layer_digest():
+    got = word_layer_digest()
+    assert got == GOLDEN["word_layer"], f"golden group 'word_layer' changed: {got}"
 
 
 def test_cli_stdout_digest(capsys):

@@ -27,6 +27,11 @@ class InconsistentComplexError(RuntimeError):
     """The boundary operator failed to square to zero (construction bug)."""
 
 
+# grids per pass of the cell search and cells per pass of boundary assembly:
+# it bounds each pass's transient lists
+_RUN = 1024
+
+
 def _positions(walk):
     """Grid positions of a row-major walk over per-factor offset lists."""
     pos = [0]
@@ -178,14 +183,14 @@ def _facet_plan(shape, grids):
                    map(itemgetter.__call__, map(itemgetter(0), entries), grids))
 
 
-def _shape_chunks(cells, names, size=1024):
+def _shape_chunks(cells, names):
     """The cells in runs of consecutive cells of one shape, each at most
-    ``size`` long: (shape, the run's ``names``, its grids)."""
+    `_RUN` long: (shape, the run's ``names``, its grids)."""
     lo = 0
     for shape, run in groupby(cells, itemgetter(0)):
         grids = list(map(itemgetter(1), run))
-        for start in range(0, len(grids), size):
-            chunk = grids[start:start + size]
+        for start in range(0, len(grids), _RUN):
+            chunk = grids[start:start + _RUN]
             yield shape, names[lo:lo + len(chunk)], chunk
             lo += len(chunk)
 
@@ -229,7 +234,7 @@ def _fold(op, columns):
     return list(out)
 
 
-def _add_layer(shape, smaller, fwd, far, ids, size=1024):
+def _add_layer(shape, smaller, fwd, far, ids):
     """Canonical grids of every cell of ``shape``, grown from ``smaller``,
     the canonical grids of its predecessor: S+(m-1) for S+(m), or S when
     m = 1.  Dropping the last vertex of a canonical cell's last factor
@@ -246,7 +251,7 @@ def _add_layer(shape, smaller, fwd, far, ids, size=1024):
     is found once and already canonical.
 
     The rows' candidate masks are worked out a grid position at a time, over
-    runs of at most ``size`` grids; only grids with a candidate in every row
+    runs of at most `_RUN` grids; only grids with a candidate in every row
     are searched, one at a time.
     """
     m = shape[-1]
@@ -254,8 +259,8 @@ def _add_layer(shape, smaller, fwd, far, ids, size=1024):
     if tie and m > 1:
         smaller = [grid for grid in smaller if grid[1] > grid[m]]
     found = []
-    for start in range(0, len(smaller), size):
-        run = smaller[start:start + size]
+    for start in range(0, len(smaller), _RUN):
+        run = smaller[start:start + _RUN]
         cols = list(zip(*run))
         rows = [cols[i:i + m] for i in range(0, len(cols), m)]
         # per row: the one-way out-neighbours of all its vertices, which are
@@ -318,26 +323,19 @@ class ChainComplex:
 
     `boundary_matrix` builds a matrix afresh from the cells on each call;
     `release_cells` hands every matrix over once and drops the cells, after
-    which only the counts and births stay.  The graph is read when the
-    complex is made and not kept.
+    which only the counts and births stay.
     """
 
-    def __init__(self, graph: Digraph, max_dim: int, cells, births=None):
+    def __init__(self, labels, max_dim: int, cells, complete: bool, births=None):
         self.max_dim = max_dim
-        self.labels = sorted(graph.vertices)
+        self.labels = labels
         self.cells = cells
+        self.complete = complete
         self.births = births
         self._counts = {d: len(cs) for d, cs in cells.items()}
         # cell indices, one shared int each, as every grid shares its vertex
         # indices: the matrices' columns hold them, and a row dict's keys
         self._index = list(range(max(self._counts.values())))
-        top = max(d for d in cells)
-        self.complete = not cells.get(top)
-        if not self.complete:
-            try:
-                self.complete = max_dim >= longest_path_length(graph)
-            except ValueError:  # cyclic: no path length bounds the cell dimension
-                pass
 
     def counts(self):
         return dict(self._counts)
@@ -418,7 +416,7 @@ class ChainComplex:
         since no facet of a kept n-cell falls outside the cut.
         """
         for n in sorted(matrices):
-            if n - 1 in matrices and not matrices[n - 1].matmul(matrices[n]).is_zero():
+            if n - 1 in matrices and not matrices[n - 1].annihilates(matrices[n]):
                 raise InconsistentComplexError(f"d_{n - 1} o d_{n} != 0")
 
 
@@ -489,7 +487,13 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     cells, births = {}, {}
     for n in range(max_dim + 1):
         cells[n], births[n] = _ordered(groups.get(n, ()), born)
-    return ChainComplex(g, max_dim, cells, None if birth is None else births)
+    complete = not cells[max_dim]
+    if not complete:
+        try:
+            complete = max_dim >= longest_path_length(g)
+        except ValueError:  # cyclic: no path length bounds the cell dimension
+            pass
+    return ChainComplex(labels, max_dim, cells, complete, None if birth is None else births)
 
 
 def complex_to_json_obj(cx: ChainComplex) -> dict:

@@ -9,7 +9,6 @@ configuration and seed; progress goes to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import random
@@ -201,11 +200,6 @@ def _tangled_births(g: Digraph, n_max: int) -> dict:
     return birth
 
 
-def _born_by(births: dict, n) -> dict:
-    """Per dimension, the number of cells born by n: a prefix size."""
-    return {d: bisect.bisect_right(bs, n) for d, bs in births.items()}
-
-
 def cmd_table(args) -> int:
     if args.n_max < 2:
         raise ValueError("table needs n_max >= 2")
@@ -228,7 +222,7 @@ def cmd_table(args) -> int:
         print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
               file=sys.stderr)
         ns = range(2, args.n_max + 1)
-        summaries = homology_summaries(cx, [_born_by(cx.births, n) for n in ns])
+        summaries = homology_summaries(cx, ns)
         budget.check("after the homology")
         for n, summary in zip(ns, summaries):
             lines.append("\t".join([str(n), format_word(tangled_cord(n), commas=True),
@@ -431,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="Betti numbers and torsion of a graph's complex")
     p.add_argument("source", nargs="+",
                    help="rooted WORD | global SIZE | construct NAME [ARGS...]")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_at_least(int, 1), default=3)
     p.add_argument("--budget", type=_at_least(float, 0), default=None, metavar="SECONDS")
     add_common(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_homology)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -25,9 +26,16 @@ from .matrices import IntMatrix
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d1 | d2 | ... | dr; their number r is the rank."""
+    """Invariant factors d1 | d2 | ... | dr; their number r is the rank.
+
+    `snf` also hands forward ``per_cut``, each cut's (rank, non-unit
+    invariant factors), and ``paired``, the columns of the +-1 pivots found
+    in their own block; neither takes part in equality or repr.
+    """
 
     invariant_factors: tuple[int, ...]
+    per_cut: tuple = field(default=(), compare=False, repr=False)
+    paired: set = field(default_factory=set, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -49,7 +57,7 @@ def _pick_pivot(rows):
     return best[1], best[2]
 
 
-def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> SnfResult:
+def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
@@ -59,8 +67,8 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
 
     ``cuts`` lists nested leading blocks (rows, cols) in ascending order, by
     default the whole shape alone, and the result is the Smith form of the
-    last; when ``by_cut`` is a list, each cut's rank and non-unit invariant
-    factors are appended to it.  A block is the boundary of a subcomplex only
+    last, with each cut's rank and non-unit invariant factors in its
+    ``per_cut``.  A block is the boundary of a subcomplex only
     when the leading cells are face-closed: every facet of the first
     ``cols`` cells lies among the first ``rows``, so no column of the block
     loses a nonzero to the cut and the block still squares to zero with its
@@ -83,10 +91,10 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
 
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
-    rows of m are left out and every result is unchanged.  When `paired` is
-    a set, the columns of this matrix's +-1 pivots are added to it, but only
-    those pivoted in the block they entered with, since a row left out of
-    d_{n+1} must be left out of every cut that holds it.
+    rows of m are left out and every result is unchanged.  The result's
+    ``paired`` holds the columns of this matrix's +-1 pivots, but only those
+    pivoted in the block they entered with, since a row left out of d_{n+1}
+    must be left out of every cut that holds it.
     """
     # Clearing (Chen-Kerber's twist, exact over Z for +-1 pivots): the unit
     # pass on d_n eliminated pivots in rows R and columns P, so A = d_n[R, P]
@@ -99,7 +107,7 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
     ncols = cuts[-1][1]
     rows, cols = {}, {}
     units = 0
-    stuck = []
+    stuck, paired, per_cut = [], set(), []
     r0 = c0 = 0
     for nr, nc in cuts:
         if nr < r0 or nc < c0:
@@ -112,13 +120,11 @@ def snf(m: IntMatrix, *, cleared=(), paired=None, cuts=None, by_cut=None) -> Snf
                 cols.setdefault(c, []).append(r)
         pivots, stuck = _unit_pass(rows, cols, stuck + [c for c in cols if c0 <= c < nc])
         units += len(pivots)
-        if paired is not None:
-            paired.update(c for c in pivots if c >= c0)
+        paired.update(c for c in pivots if c >= c0)
         rest = _snf(_leftover(rows, cols, stuck))
-        if by_cut is not None:
-            by_cut.append((units + rest.rank, tuple(d for d in rest.invariant_factors if d != 1)))
+        per_cut.append((units + rest.rank, tuple(d for d in rest.invariant_factors if d != 1)))
         r0, c0 = nr, nc
-    return SnfResult((1,) * units + rest.invariant_factors)
+    return SnfResult((1,) * units + rest.invariant_factors, tuple(per_cut), paired)
 
 
 def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
@@ -346,16 +352,17 @@ def homology_summary(cx: ChainComplex, max_deg: int | None = None) -> HomologySu
     would need cells above the built dimension cap are flagged as truncated
     rather than silently reported.  The complex's cells are used up.
     """
-    return homology_summaries(cx, [cx.counts()], max_deg)[0]
+    return homology_summaries(cx, max_deg=max_deg)[0]
 
 
-def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
-    """`homology_summary` of each of nested subcomplexes, in one reduction.
+def homology_summaries(cx: ChainComplex, born_by=None, max_deg: int | None = None):
+    """`homology_summary` of the cells born by each of ``born_by``, in one
+    reduction; ``None`` reports the whole complex alone.
 
-    ``cuts`` is a nonempty list of {dimension: k} maps, each naming the
-    first k cells of each dimension, each face-closed (the facets of every
-    kept cell are kept too, see `snf`'s ``cuts``) and each holding the one
-    before it in every dimension.  Every degree's boundary matrix is reduced
+    The births must ascend and the complex must be birth-ordered (see
+    `build_complex`), or ValueError is raised.  The cells born by t are a
+    face-closed prefix of every dimension (see `snf`'s ``cuts``), each
+    holding the one before it.  Every degree's boundary matrix is reduced
     once, by one `snf` over all the cuts, and clearing runs across degrees
     as for one cut.  Ranks and invariant factors do not depend on the order
     of rows and columns, so each result is exact over Z, torsion included;
@@ -364,6 +371,12 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     The complex hands its checked matrices over (`ChainComplex.release_cells`)
     and each is dropped once its degree is reduced.
     """
+    if born_by is None:
+        cuts = [cx.counts()]
+    elif cx.births is None:
+        raise ValueError("births to report need a complex built with births")
+    else:
+        cuts = [{d: bisect_right(bs, t) for d, bs in cx.births.items()} for t in born_by]
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
     top = min(max_deg + 1, max((d for d, c in cuts[-1].items() if c), default=0))
@@ -373,10 +386,9 @@ def homology_summaries(cx: ChainComplex, cuts, max_deg: int | None = None):
     for n in range(1, top + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
         # each set is freed once the next degree has used it
-        paired, forms[n] = set(), []
-        snf(matrices.pop(n), cleared=cleared, paired=paired,
-            cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts], by_cut=forms[n])
-        cleared = paired
+        res = snf(matrices.pop(n), cleared=cleared,
+                  cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts])
+        forms[n], cleared = res.per_cut, res.paired
     return [_summary(cx, counts, {n: f[i] for n, f in forms.items()}, max_deg)
             for i, counts in enumerate(cuts)]
 

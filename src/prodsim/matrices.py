@@ -17,9 +17,8 @@ class IntMatrix:
     order, and of ``vals``, their values, nonzero Python ints of any size.
     ``cols`` and ``vals`` are lists; in a boundary matrix they hold the
     complex's shared cell indices and the shared ints +-1, so a nonzero costs
-    two list slots, 16 bytes, where a row dict entry cost about 64.  A
-    matrix is not changed once built: `snf` makes row dicts of its own, and
-    equal matrices have equal sequences.
+    two list slots, 16 bytes.  A matrix is not changed once built: `snf`
+    makes row dicts of its own, and equal matrices have equal sequences.
     """
 
     __slots__ = ("nrows", "ncols", "starts", "cols", "vals")
@@ -36,12 +35,6 @@ class IntMatrix:
         self.cols, self.vals = [c for (_, c), _ in entries], [v for _, v in entries]
 
     @classmethod
-    def _flat(cls, nrows, ncols, starts, cols, vals):
-        m = cls.__new__(cls)
-        m.nrows, m.ncols, m.starts, m.cols, m.vals = nrows, ncols, starts, cols, vals
-        return m
-
-    @classmethod
     def from_column_major(cls, nrows: int, ncols: int, rows, cols, vals) -> "IntMatrix":
         """The matrix with nonzero ``vals[e]`` at row ``rows[e]`` and column
         ``cols[e]``, listed in ascending column order, each place once.
@@ -52,8 +45,9 @@ class IntMatrix:
         for r in rows:
             free[r + 1] += 1
         free = list(accumulate(free))  # each row's next free place
-        m = cls._flat(nrows, ncols, array("q", free), [0] * len(rows), [0] * len(rows))
-        out_cols, out_vals = m.cols, m.vals
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.starts = nrows, ncols, array("q", free)
+        m.cols, m.vals = out_cols, out_vals = [0] * len(rows), [0] * len(rows)
         for r, c, v in zip(rows, cols, vals):
             at = free[r]
             free[r] = at + 1
@@ -90,13 +84,14 @@ class IntMatrix:
         """Sorted (row, col, value) triplets."""
         return list(zip(self._row_ids(), self.cols, self.vals))
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
+    def annihilates(self, other: "IntMatrix") -> bool:
+        """Whether the product self * other is zero.  Each row of the
+        product is accumulated in turn, and the first nonzero one answers."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         starts, a_cols, a_vals = self.starts.tolist(), self.cols, self.vals
         b_cols, b_vals = other.cols, other.vals
         b_rows = list(map(range, other.starts, other.starts[1:]))  # places of each row
-        ends, cols, vals = [], [], []
         for s, e in zip(starts, starts[1:]):
             acc = {}
             get = acc.get
@@ -106,15 +101,8 @@ class IntMatrix:
                     c = b_cols[p]
                     acc[c] = get(c, 0) + v * b_vals[p]
             if any(acc.values()):
-                for c in sorted(acc):
-                    if acc[c]:
-                        cols.append(c)
-                        vals.append(acc[c])
-            ends.append(len(vals))
-        return IntMatrix._flat(self.nrows, other.ncols, array("q", [0, *ends]), cols, vals)
-
-    def is_zero(self) -> bool:
-        return not self.vals
+                return False
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows

@@ -10,7 +10,8 @@
   tournament.
 - Oracles: `longest_repeat_and_return` for the maximal factors of a word,
   `canonical_with_sign` and `brute_force_cells` for the cell search,
-  `minor_gcd_invariant_factors` for the Smith form, `betti` (the Smith
+  `add_layer_per_grid` for its layer step, `dense_product` for the d.d
+  check, `minor_gcd_invariant_factors` for the Smith form, `betti` (the Smith
   path's Betti numbers), and `rational_betti` and `convolve`, the
   `product` suite's rational Betti numbers and Kunneth formula.
 - Reference tables: `TANGLED_REFERENCE`.
@@ -130,6 +131,58 @@ def canonical_with_sign(shape, grid):
             _block_sign(shape, order))
 
 
+def add_layer_per_grid(shape, smaller, fwd, adj):
+    """Oracle: the layer search of `cells._add_layer`, each predecessor
+    grid's row masks worked out on their own."""
+    m = shape[-1]
+    tie = len(shape) > 1 and shape[-2] == m
+    found = []
+    for grid in smaller:
+        if tie and m > 1 and grid[1] < grid[m]:
+            continue
+        rows = [grid[i:i + m] for i in range(0, len(grid), m)]
+        used = 0
+        row_adj = []
+        for row in rows:
+            seen = 0
+            for v in row:
+                seen |= adj[v]
+                used |= 1 << v
+            row_adj.append(seen)
+        base = []
+        for t, row in enumerate(rows):
+            cand = ~used
+            for v in row:
+                cand &= fwd[v]
+            for t2, seen in enumerate(row_adj):
+                if t2 != t:
+                    cand &= ~seen
+            base.append(cand)
+        if tie and m == 1:
+            base[0] &= -2 << grid[1]
+        if not all(base):
+            continue
+        first = [row[0] for row in rows]
+        linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
+        new = [0] * len(rows)
+
+        def assign(t):
+            if t == len(rows):
+                found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
+                return
+            cand = base[t]
+            for y, link in zip(new, linked[t]):
+                cand &= fwd[y] if link else ~(adj[y] | 1 << y)
+            while cand:
+                low = cand & -cand
+                new[t] = low.bit_length() - 1
+                assign(t + 1)
+                cand ^= low
+
+        assign(0)
+    return found
+
+
 def _skeleton_edges(shape):
     multis = list(grid_points(*(range(n + 1) for n in shape)))
     edges = set()
@@ -168,6 +221,13 @@ def betti(g, max_dim=3):
     """Betti numbers {degree: beta} of g's complex through ``max_dim``, by
     the Smith path."""
     return homology_summary(build_complex(g, max_dim)).betti
+
+
+def dense_product(a: IntMatrix, b: IntMatrix):
+    """Oracle: the product a * b as dense rows, entry by entry."""
+    left, right = a.to_rows(), b.to_rows()
+    return [[sum(row[k] * right[k][c] for k in range(b.nrows)) for c in range(b.ncols)]
+            for row in left]
 
 
 def _det(rows):

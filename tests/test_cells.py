@@ -2,7 +2,6 @@
 
 import gc
 import random
-from functools import partial
 
 import pytest
 
@@ -27,6 +26,7 @@ from prodsim import (
 from prodsim.cells import _partitions, _shape_rule, complex_to_json
 from prodsim.cli import _tangled_births
 from oracles import (
+    add_layer_per_grid,
     brute_force_cells,
     canonical_with_sign,
     random_consistent_digraph,
@@ -60,58 +60,6 @@ def cells_by_factor_count(g, max_dim, simplices):
             for d in cx.cells}
 
 
-def add_layer_per_grid(shape, smaller, fwd, adj):
-    """Oracle: the layer search of `cells._add_layer`, each predecessor
-    grid's row masks worked out on their own."""
-    m = shape[-1]
-    tie = len(shape) > 1 and shape[-2] == m
-    found = []
-    for grid in smaller:
-        if tie and m > 1 and grid[1] < grid[m]:
-            continue
-        rows = [grid[i:i + m] for i in range(0, len(grid), m)]
-        used = 0
-        row_adj = []
-        for row in rows:
-            seen = 0
-            for v in row:
-                seen |= adj[v]
-                used |= 1 << v
-            row_adj.append(seen)
-        base = []
-        for t, row in enumerate(rows):
-            cand = ~used
-            for v in row:
-                cand &= fwd[v]
-            for t2, seen in enumerate(row_adj):
-                if t2 != t:
-                    cand &= ~seen
-            base.append(cand)
-        if tie and m == 1:
-            base[0] &= -2 << grid[1]
-        if not all(base):
-            continue
-        first = [row[0] for row in rows]
-        linked = [[fwd[y] >> x & 1 for y in first[:t]] for t, x in enumerate(first)]
-        new = [0] * len(rows)
-
-        def assign(t):
-            if t == len(rows):
-                found.append(tuple(v for row, x in zip(rows, new) for v in (*row, x)))
-                return
-            cand = base[t]
-            for y, link in zip(new, linked[t]):
-                cand &= fwd[y] if link else ~(adj[y] | 1 << y)
-            while cand:
-                low = cand & -cand
-                new[t] = low.bit_length() - 1
-                assign(t + 1)
-                cand ^= low
-
-        assign(0)
-    return found
-
-
 class TestCellSearch:
     def test_runs_match_the_per_grid_search(self):
         # the row masks of a run of predecessor grids are worked out a grid
@@ -129,21 +77,20 @@ class TestCellSearch:
                  product(simplex_digraph(3), e), product(tri, tri, e), simplex_digraph(4)]
         grown = set()
 
-        def layer(run):
-            def checked(shape, smaller, fwd, far, ids):
-                found = add_layer(shape, smaller, fwd, far, ids, size=run)
-                adj = [~f ^ 1 << v for v, f in enumerate(far)]
-                assert found == add_layer_per_grid(shape, smaller, fwd, adj), shape
-                if found:
-                    grown.add(shape)
-                return found
-            return checked
+        def checked(shape, smaller, fwd, far, ids):
+            found = add_layer(shape, smaller, fwd, far, ids)
+            adj = [~f ^ 1 << v for v, f in enumerate(far)]
+            assert found == add_layer_per_grid(shape, smaller, fwd, adj), shape
+            if found:
+                grown.add(shape)
+            return found
 
         @settings(max_examples=25, deadline=None)
         @given(st.randoms(use_true_random=False), st.integers(3, 9), st.integers(1, 40))
         def check(rng, size, run):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cells_module, "_add_layer", layer(run))
+                mp.setattr(cells_module, "_RUN", run)
+                mp.setattr(cells_module, "_add_layer", checked)
                 for g in fixed + [random_digraph(rng, size, 0.55, (0.45, 0.65))]:
                     build_complex(g, 5)
 
@@ -538,7 +485,6 @@ class TestBoundaryMatrix:
 
         import prodsim.cells as cells_module
 
-        shape_chunks = cells_module._shape_chunks
         e = edge_graph()
         tri = simplex_digraph(2)
         path = Digraph(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")])
@@ -566,10 +512,10 @@ class TestBoundaryMatrix:
             built = fixed + [(g, build_complex(g, max_dim))]
             with pytest.MonkeyPatch.context() as mp:
                 # short runs of a shape, so runs end inside a shape too
-                mp.setattr(cells_module, "_shape_chunks", partial(shape_chunks, size=run))
+                mp.setattr(cells_module, "_RUN", run)
                 for g, cx in built:
                     cells = {d: rng.sample(cs, len(cs)) for d, cs in cx.cells.items()}
-                    shuffled = ChainComplex(g, cx.max_dim, cells)
+                    shuffled = ChainComplex(cx.labels, cx.max_dim, cells, cx.complete)
                     for n in range(1, cx.max_dim + 1):
                         assert shuffled.boundary_matrix(n) == oracle(shuffled, n), n
                         shapes = [c.shape for c in cells[n]]
@@ -597,7 +543,7 @@ class TestBoundaryMatrix:
         edges = [cell((1,), e) for e in sorted(g.edges) if e != ("b", "d")]
         cells = {0: [cell((), (v,)) for v in sorted(g.vertices)], 1: edges,
                  2: [triangle, square]}
-        cx = ChainComplex(g, 2, cells)
+        cx = ChainComplex(sorted(g.vertices), 2, cells, False)
         with pytest.raises(InconsistentComplexError) as exc:
             cx.boundary_matrix(2)
         message = str(exc.value)

@@ -145,6 +145,18 @@ class TestHomology:
         assert code == 0
         assert "0\t1\t-" in out.splitlines()
 
+    def test_bad_max_dim_exits_before_the_word_graph(self, capsys, monkeypatch):
+        # argparse rejects the flag, so no word graph is built first
+        def never(size):
+            raise AssertionError(f"global_word_graph({size}) was called")
+
+        monkeypatch.setattr(cli, "global_word_graph", never)
+        for value in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(["homology", "global", "5", "--max-dim", value])
+            assert exc.value.code == 2
+            assert "--max-dim: expected int >= 1" in capsys.readouterr().err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "homology", "rooted", "121323", "--format", "json")
         obj = json.loads(out)
@@ -252,9 +264,9 @@ class TestTable:
         complexes = []
         summaries = cli.homology_summaries
 
-        def keeping(cx, cuts):
+        def keeping(cx, born_by):
             complexes.append(cx)
-            return summaries(cx, cuts)
+            return summaries(cx, born_by)
 
         monkeypatch.setattr(cli, "homology_summaries", keeping)
         code, out, _ = run(capsys, "table", "7")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
@@ -28,7 +29,7 @@ from prodsim import (
     three_square_sphere,
 )
 from prodsim.cells import InconsistentComplexError
-from prodsim.cli import SUITES, _born_by, _tangled_births
+from prodsim.cli import SUITES, _tangled_births
 from prodsim.digraph import longest_path_length
 from prodsim.homology import SnfResult, _rows, _snf, _unit_pass
 from oracles import (
@@ -161,7 +162,7 @@ def test_unit_pass_keeps_the_column_index_exact():
 def test_clearing_keeps_every_smith_form(monkeypatch):
     # homology_summary leaves out the rows of d_{n+1} that d_n's +-1 pivots
     # paired; every cleared Smith form must equal the plain one of the same
-    # boundary matrix
+    # boundary matrix, and each cut's form the plain one of its block
     from prodsim import homology
     plain = homology.snf
     cleared_rows, multi_cut_rows = [], []
@@ -175,7 +176,8 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
         assert res == plain(m)
         cleared_rows.append(len(clearing["cleared"]))
         # every cut of the one pass is the plain form of its leading block
-        for cut, (rank, nonunit) in zip(clearing["cuts"], clearing["by_cut"]):
+        assert len(res.per_cut) == len(clearing["cuts"])
+        for cut, (rank, nonunit) in zip(clearing["cuts"], res.per_cut):
             block = plain(m, cuts=[cut])
             assert (rank, nonunit) == (block.rank, tuple(d for d in block.invariant_factors if d > 1))
         if len(clearing["cuts"]) > 1:
@@ -194,8 +196,7 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
     assert sum(cleared_rows) > 0
     # the table's path: one pass over every birth block of G_11
     g = rooted_word_graph(tangled_cord(11)).graph
-    cx = build_complex(g, 3, _tangled_births(g, 11))
-    homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 12)])
+    homology_summaries(build_complex(g, 3, _tangled_births(g, 11)), range(2, 12))
     assert len(multi_cut_rows) == 3 and sum(multi_cut_rows) > 0
 
 
@@ -373,10 +374,10 @@ def test_tangled_prefixes_match_per_n_complexes():
     g = rooted_word_graph(tangled_cord(12)).graph
     birth = _tangled_births(g, 12)
     cx = build_complex(g, 3, birth)
-    one_pass = homology_summaries(cx, [_born_by(cx.births, n) for n in range(2, 13)])
+    one_pass = homology_summaries(cx, range(2, 13))
     for n in range(2, 13):
         # a summary takes the complex's cells, so each call gets a fresh one
-        prefix = homology_summaries(build_complex(g, 3, birth), [_born_by(cx.births, n)])[0]
+        prefix = homology_summaries(build_complex(g, 3, birth), [n])[0]
         per_n = homology_summary(build_complex(rooted_word_graph(tangled_cord(n)).graph, 3))
         assert prefix == per_n, n
         assert prefix.torsion[2] == ([2] if n >= 10 else []), n
@@ -400,17 +401,14 @@ def test_cuts_and_cleared_rows_leave_the_matrices_alone():
     # equal to a copy taken before
     g = rooted_word_graph(tangled_cord(8)).graph
     cx = build_complex(g, 3, _tangled_births(g, 8))
-    cuts = [_born_by(cx.births, n) for n in range(2, 9)]
+    cuts = [[bisect_right(cx.births[d], n) for d in range(4)] for n in range(2, 9)]
     matrices = {n: cx.boundary_matrix(n) for n in (1, 2, 3)}
     copies = {n: IntMatrix(m.nrows, m.ncols, m.entries) for n, m in matrices.items()}
     cleared, sizes = (), []
     for n in (1, 2, 3):
-        paired = set()
-        snf(matrices[n], cleared=cleared, paired=paired, by_cut=[],
-            cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts])
+        cleared = snf(matrices[n], cleared=cleared, cuts=[(c[n - 1], c[n]) for c in cuts]).paired
         assert matrices[n] == copies[n], n
-        cleared = paired
-        sizes.append(len(paired))
+        sizes.append(len(cleared))
     assert min(sizes) > 0
 
 
@@ -469,10 +467,9 @@ def test_one_pass_gives_each_cut_the_smith_form_of_its_block():
     @given(blocked())
     def check(case):
         m, cuts = case
-        by_cut = []
-        last = snf(m, cuts=cuts, by_cut=by_cut)
-        assert len(by_cut) == len(cuts)
-        for (r, c), (rank, nonunit) in zip(cuts, by_cut):
+        last = snf(m, cuts=cuts)
+        assert len(last.per_cut) == len(cuts)
+        for (r, c), (rank, nonunit) in zip(cuts, last.per_cut):
             block = IntMatrix(r, c, {(i, j): v for (i, j), v in m.entries.items()
                                      if i < r and j < c})
             want = _snf(_rows(block))
@@ -488,9 +485,22 @@ def test_paired_holds_only_pivots_found_in_their_own_block():
     # be left out only if every cut holding it clears it, so it is not
     # reported
     m = IntMatrix.from_rows([[3, 1], [2, 1]])
-    paired, by_cut = set(), []
-    assert snf(m, paired=paired, cuts=[(2, 2), (2, 2)], by_cut=by_cut).rank == 2
-    assert paired == {1} and by_cut == [(2, ()), (2, ())]
+    res = snf(m, cuts=[(2, 2), (2, 2)])
+    assert res.rank == 2
+    assert res.paired == {1} and res.per_cut == ((2, ()), (2, ()))
+
+
+def test_snf_equality_ignores_what_it_hands_forward():
+    # the cuts' forms and the paired columns ride along with the factors
+    # but take no part in equality or repr
+    m = IntMatrix.from_rows([[3, 1], [2, 1]])
+    two_cuts, plain = snf(m, cuts=[(2, 2), (2, 2)]), snf(m)
+    other = SnfResult((1, 1), ((0, ()),), {0, 1})
+    assert (len(two_cuts.per_cut), len(plain.per_cut)) == (2, 1)
+    assert two_cuts.paired == {1} != other.paired
+    assert two_cuts == plain == other == SnfResult((1, 1))
+    assert hash(two_cuts) == hash(plain) == hash(other)
+    assert repr(two_cuts) == repr(other) == "SnfResult(invariant_factors=(1, 1))"
 
 
 def test_cuts_must_nest_and_be_face_closed():
@@ -503,11 +513,11 @@ def test_cuts_must_nest_and_be_face_closed():
 
 
 def _spy_on_builds_and_checks(monkeypatch):
-    # records the degree of every boundary matrix built and counts matmuls
+    # records the degree of every boundary matrix built and counts d.d checks
     from prodsim import ChainComplex
 
     built, calls = [], []
-    assemble, matmul = ChainComplex.boundary_matrix, IntMatrix.matmul
+    assemble, annihilates = ChainComplex.boundary_matrix, IntMatrix.annihilates
 
     def spy(self, n):
         built.append(n)
@@ -515,17 +525,17 @@ def _spy_on_builds_and_checks(monkeypatch):
 
     def counted(self, other):
         calls.append(1)
-        return matmul(self, other)
+        return annihilates(self, other)
 
     monkeypatch.setattr(ChainComplex, "boundary_matrix", spy)
-    monkeypatch.setattr(IntMatrix, "matmul", counted)
+    monkeypatch.setattr(IntMatrix, "annihilates", counted)
     return built, calls
 
 
 def test_boundary_check_runs_once_per_complex(monkeypatch):
-    # a summary builds each reduced degree once, top first, and multiplies
+    # a summary builds each reduced degree once, top first, and checks
     # each adjacent pair once; the complex is used up by it, so a second
-    # summary raises before any pair is multiplied again
+    # summary raises before any pair is checked again
     g = rooted_word_graph(tangled_cord(8)).graph
     whole = homology_summary(build_complex(g, 3))
     built, calls = _spy_on_builds_and_checks(monkeypatch)
@@ -539,7 +549,7 @@ def test_boundary_check_runs_once_per_complex(monkeypatch):
 
 def test_only_the_reduced_degrees_are_checked(monkeypatch):
     # max_deg=0 reduces d1 alone, so d2 and d3 are neither built nor
-    # multiplied
+    # checked
     g = rooted_word_graph(tangled_cord(8)).graph
     built, calls = _spy_on_builds_and_checks(monkeypatch)
     assert homology_summary(build_complex(g, 3), max_deg=0).betti == {0: 1}
@@ -566,17 +576,30 @@ def test_the_reduction_leaves_the_complex_whole():
 
 
 def test_a_failed_reduction_leaves_no_half_consumed_matrix():
-    # the second cut does not contain the first: d1's reduction raises after
-    # the first block's rows have entered it, and the complex then raises
-    # rather than serving what is left of the matrix
+    # births out of order, so the second cut does not contain the first:
+    # d1's reduction raises after the first block's rows have entered it,
+    # and the complex then raises rather than serving what is left of the
+    # matrix
     g = rooted_word_graph(tangled_cord(6)).graph
     cx = build_complex(g, 3, _tangled_births(g, 6))
     with pytest.raises(ValueError, match="does not contain"):
-        homology_summaries(cx, [_born_by(cx.births, 5), _born_by(cx.births, 4)])
+        homology_summaries(cx, [5, 4])
     assert cx.cells is None
     for n in range(1, 4):
         with pytest.raises(RuntimeError, match="cells were released"):
             cx.boundary_matrix(n)
+
+
+def test_births_to_report_need_a_birth_ordered_complex():
+    # a complex built without births has no prefixes to report (births out
+    # of order are `test_a_failed_reduction_leaves_no_half_consumed_matrix`);
+    # None reports the whole complex, births or not
+    g = rooted_word_graph(tangled_cord(5)).graph
+    with pytest.raises(ValueError, match="built with births"):
+        homology_summaries(build_complex(g, 3), [5])
+    whole = homology_summary(build_complex(g, 3))
+    assert homology_summaries(build_complex(g, 3)) == [whole]
+    assert homology_summaries(build_complex(g, 3, _tangled_births(g, 5))) == [whole]
 
 
 def test_the_summary_peaks_below_the_size_of_its_complex():
@@ -593,10 +616,9 @@ def test_the_summary_peaks_below_the_size_of_its_complex():
     tracemalloc.start()
     try:
         cx = build_complex(g, 3, births)
-        cuts = [_born_by(cx.births, n) for n in range(2, 13)]
         size = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        homology_summaries(cx, cuts)
+        homology_summaries(cx, range(2, 13))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from prodsim import Digraph, build_complex, homology_summaries, homology_summary  # noqa: E402
-from prodsim.cli import _born_by  # noqa: E402
 from oracles import random_consistent_digraph  # noqa: E402
 
 
@@ -23,15 +22,13 @@ def test_birth_prefixes_are_induced_subcomplexes(seed, size, births):
     # and each prefix has the homology of that subgraph built afresh
     g = random_consistent_digraph(random.Random(seed), size)
     birth = {v: births[i] for i, v in enumerate(sorted(g.vertices))}
-    cx = build_complex(g, 3, birth)
-    cell_births = cx.births
     # the table's path: every prefix's summary from one reduction per degree
-    one_pass = homology_summaries(cx, [_born_by(cell_births, t) for t in range(-1, 5)])
+    one_pass = homology_summaries(build_complex(g, 3, birth), range(-1, 5))
     for t in range(-1, 5):
         kept = {v for v, b in birth.items() if b <= t}
         sub = Digraph(kept, [(u, v) for u, v in g.edges if u in kept and v in kept])
         # a summary takes the complex's cells, so each call gets a fresh one
-        prefix = homology_summaries(build_complex(g, 3, birth), [_born_by(cell_births, t)])[0]
+        prefix = homology_summaries(build_complex(g, 3, birth), [t])[0]
         fresh = homology_summary(build_complex(sub, 3))
         assert prefix == fresh
         assert one_pass[t + 1] == fresh  # betti, torsion, euler and cell counts

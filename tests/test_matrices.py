@@ -4,12 +4,18 @@ import random
 
 import pytest
 
-from prodsim import IntMatrix
-from oracles import random_matrix, random_packed
+from prodsim import IntMatrix, build_complex, rooted_word_graph
+from oracles import (
+    dense_product,
+    random_consistent_digraph,
+    random_dow,
+    random_matrix,
+    random_packed,
+)
 
 
-def _dense_product(a, b, inner, ncols):
-    return [[sum(row[k] * b[k][c] for k in range(inner)) for c in range(ncols)] for row in a]
+def _all_zero(rows):
+    return not any(map(any, rows))
 
 
 def test_out_of_range_entry_raises():
@@ -25,9 +31,7 @@ def test_explicit_zeros_are_dropped():
     assert m == IntMatrix(3, 3, {(1, 2): 5})
     assert len(m.entries) == 1
     assert m.entries == {(1, 2): 5}
-    assert not m.is_zero()
     zero = IntMatrix(2, 2, {(0, 1): 0, (1, 0): 0})
-    assert zero.is_zero()
     assert zero == IntMatrix(2, 2)
     assert len(zero.entries) == 0
     assert IntMatrix.from_rows([[0, 0], [0, 7]]) == IntMatrix(2, 2, {(1, 1): 7})
@@ -39,21 +43,35 @@ def test_equality_needs_equal_dimensions():
     assert IntMatrix(1, 1) != [[0]]
 
 
-def test_matmul_equals_dense_product():
+def test_annihilates_equals_dense_product():
+    # random pairs, and the adjacent boundary matrices of small complexes,
+    # as built (a zero product) and with one entry of d_n sign-flipped
     rng = random.Random(211)
     sizes = (0, 1, 2, 3, 5, 7)
+    pairs = []
     for i in range(200):
         nr, inner, nc = (rng.choice(sizes) for _ in range(3))
         if i < 8:  # an empty side in every position
             nr, inner, nc = [(0, 2, 3), (3, 0, 2), (2, 3, 0), (0, 0, 0)][i % 4]
-        a = random_matrix(rng, nr, inner, rng.choice((1, 3, 10)))
-        b = random_matrix(rng, inner, nc, rng.choice((1, 3, 10)))
-        got = a.matmul(b)
-        assert (got.nrows, got.ncols) == (nr, nc)
-        assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)
-        assert all(v for v in got.entries.values())
+        pairs.append((random_matrix(rng, nr, inner, rng.choice((1, 3, 10))),
+                      random_matrix(rng, inner, nc, rng.choice((1, 3, 10)))))
+    for i in range(40):
+        g = (rooted_word_graph(random_dow(rng, rng.randint(2, 5))).graph if i % 2
+             else random_consistent_digraph(rng, rng.randint(3, 8)))
+        cx = build_complex(g, 3)
+        for n in range(2, cx.top_dim() + 1):
+            d, dn = cx.boundary_matrix(n - 1), cx.boundary_matrix(n)
+            entries = dn.entries
+            flip = rng.choice(sorted(entries))
+            flipped = IntMatrix(dn.nrows, dn.ncols, {**entries, flip: -entries[flip]})
+            pairs += [(d, dn), (d, flipped)]
+    answers = []
+    for a, b in pairs:
+        answers.append(a.annihilates(b))
+        assert answers[-1] == _all_zero(dense_product(a, b))
+    assert answers.count(True) > 100 and answers.count(False) > 100
     with pytest.raises(ValueError):
-        IntMatrix(2, 3).matmul(IntMatrix(2, 3))
+        IntMatrix(2, 3).annihilates(IntMatrix(2, 3))
 
 
 def test_triplets_sorted_and_dense_round_trip():
@@ -118,14 +136,18 @@ def test_packed_equality():
             assert m != IntMatrix(nr, nc, moved)
 
 
-def test_packed_matmul_equals_dense_product():
+def test_packed_annihilates_equals_dense_product():
+    # values past 2**63 and empty rows; a pair whose product's last row
+    # alone is nonzero must not pass on the rows before it
     rng = random.Random(313)
     for nr, inner in _shapes(rng, 150):
         nc = rng.choice((0, 1, 4, 7))
         a, b = random_packed(rng, nr, inner), random_packed(rng, inner, nc)
-        got = a.matmul(b)
-        assert (got.nrows, got.ncols) == (nr, nc)
-        assert got.to_rows() == _dense_product(a.to_rows(), b.to_rows(), inner, nc)
-        assert all(got.entries.values())
-        assert got == IntMatrix(nr, nc, got.entries)
+        assert a.annihilates(b) == _all_zero(dense_product(a, b))
+    big = 2**64 + 1
+    a = IntMatrix.from_rows([[1, -1], [0, 0], [big, 0]])
+    b = IntMatrix.from_rows([[big, 1], [big, 1]])
+    assert dense_product(a, b)[:2] == [[0, 0], [0, 0]]
+    assert not a.annihilates(b)
+    assert IntMatrix.from_rows([[1, -1], [0, 0]]).annihilates(b)
 

@@ -13,7 +13,6 @@ ordering is the orientation representative used by the boundary operator.
 from __future__ import annotations
 
 import functools
-import json
 from collections import defaultdict
 from itertools import chain, compress, groupby, repeat
 from operator import and_, itemgetter, lshift, lt
@@ -512,4 +511,6 @@ def complex_to_json_obj(cx: ChainComplex) -> dict:
 
 
 def complex_to_json(cx: ChainComplex) -> str:
+    import json  # here alone, so that importing the package leaves json out
+
     return json.dumps(complex_to_json_obj(cx), indent=2, sort_keys=True)

@@ -8,7 +8,7 @@ search, and deterministic DOT/JSON export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Digraph:
@@ -84,8 +84,7 @@ class Digraph:
                        [(mapping[u], mapping[v]) for u, v in self.edges])
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     sources: tuple[str, ...]
     targets: tuple[str, ...]
     weakly_connected: bool

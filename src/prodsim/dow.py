@@ -13,7 +13,6 @@ insertion, tangled cords) used to build word graphs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 
 class NotDoubleOccurrenceError(ValueError):
@@ -105,17 +104,42 @@ def _relabelled(symbols) -> Dow:
     return tuple.__new__(Dow, ascending_form(symbols))
 
 
-@dataclass(frozen=True)
 class Factor:
     """One maximal repeat or return factor u of a host word.
 
-    ``letters`` is the single-occurrence word u; ``spans`` gives the two
-    inclusive position intervals holding u and (for returns) its reverse.
+    ``letters`` is the single-occurrence word u; ``kind`` is "repeat" or
+    "return"; ``spans`` gives the two inclusive position intervals holding u
+    and (for returns) its reverse.  A frozen record whose length is u's, so
+    it is not a tuple of its fields.
     """
 
-    letters: tuple[int, ...]
-    kind: str  # "repeat" or "return"
-    spans: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("letters", "kind", "spans")
+
+    def __init__(self, letters, kind, spans):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spans", spans)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self):
+        return self.letters, self.kind, self.spans
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is Factor else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return Factor, self._astuple()
+
+    def __repr__(self):
+        return "Factor(letters={!r}, kind={!r}, spans={!r})".format(*self._astuple())
 
     def __len__(self):
         return len(self.letters)

@@ -17,25 +17,48 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .cells import ChainComplex
 from .matrices import IntMatrix
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """Invariant factors d1 | d2 | ... | dr; their number r is the rank.
 
     `snf` also hands forward ``per_cut``, each cut's (rank, non-unit
     invariant factors), and ``paired``, the columns of the +-1 pivots found
-    in their own block; neither takes part in equality or repr.
+    in their own block; neither takes part in equality, hash or repr.  A
+    frozen record, not a tuple, so that equality can leave them out.
     """
 
-    invariant_factors: tuple[int, ...]
-    per_cut: tuple = field(default=(), compare=False, repr=False)
-    paired: set = field(default_factory=set, compare=False, repr=False)
+    __slots__ = ("invariant_factors", "per_cut", "paired")
+
+    def __init__(self, invariant_factors, per_cut=(), paired=None):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "per_cut", per_cut)
+        object.__setattr__(self, "paired", set() if paired is None else paired)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SnfResult:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
+
+    def __reduce__(self):
+        return SnfResult, (self.invariant_factors, self.per_cut, self.paired)
+
+    def __repr__(self):
+        return f"SnfResult(invariant_factors={self.invariant_factors!r})"
 
     @property
     def rank(self) -> int:
@@ -324,15 +347,14 @@ def rational_rank(m: IntMatrix) -> int:
     return rank
 
 
-@dataclass
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """Betti numbers and torsion coefficients per degree, plus the Euler
     characteristic of the built complex."""
 
-    betti: dict = field(default_factory=dict)
-    torsion: dict = field(default_factory=dict)
-    euler: int = 0
-    cell_counts: dict = field(default_factory=dict)
+    betti: dict
+    torsion: dict
+    euler: int
+    cell_counts: dict
     truncated: tuple = ()
 
     def to_json_obj(self):

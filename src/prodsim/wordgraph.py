@@ -7,8 +7,8 @@ graphs are consistently directed with source w and target the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .digraph import Digraph
 from .dow import Dow, concat, format_word, successors
@@ -19,8 +19,7 @@ def word_label(w: Dow) -> str:
     return format_word(w, commas=True)
 
 
-@dataclass(frozen=True)
-class WordGraph:
+class WordGraph(NamedTuple):
     """A digraph whose vertices are canonical words; root is None for the
     global graph on all words up to a given size."""
 
@@ -63,15 +62,20 @@ def enumerate_dows(n: int) -> list[Dow]:
     of size k - 1, so each word arises exactly once.  Every word built this
     way is canonical already, so it becomes a ``Dow`` as it is, neither
     checked nor relabelled.
+
+    For one position j of the second 1 the map keeps the order of the
+    shorter words, so taking j outermost over the sorted shorter words
+    lays each size out as 2k - 1 sorted runs, and the sort only merges them.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    words = [()]
+    word = partial(tuple.__new__, Dow)
+    words = [word(())]
     for k in range(1, n + 1):
-        words = [(1, *raised[:j], 1, *raised[j:])
-                 for raised in [tuple(s + 1 for s in w) for w in words]
-                 for j in range(2 * k - 1)]
-    return sorted(map(partial(tuple.__new__, Dow), words))
+        raised = [tuple(s + 1 for s in w) for w in words]
+        words = [word((1, *r[:j], 1, *r[j:])) for j in range(2 * k - 1) for r in raised]
+        words.sort()
+    return words
 
 
 def global_word_graph(n: int) -> WordGraph:

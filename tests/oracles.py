@@ -4,16 +4,18 @@
   `random_matrix` are the ones `prodsim verify` ships, re-exported from the
   CLI; `random_digraph` gives DAGs and graphs with 2-cycles,
   `random_packed` matrices with empty rows and huge values,
-  `random_dense_matrix` small dense ones and `random_unit_heavy_matrix`
-  sparse ones of mostly unit entries.
+  `random_dense_matrix` small dense ones, `random_unit_heavy_matrix`
+  sparse ones of mostly unit entries and `random_scaled_matrix` those with
+  some rows multiplied by a given prime.
 - Fixed inputs: `dow` parses a word, `simplex_digraph` is the transitive
   tournament.
 - Oracles: `longest_repeat_and_return` for the maximal factors of a word,
   `canonical_with_sign` and `brute_force_cells` for the cell search,
   `add_layer_per_grid` for its layer step, `dense_product` for the d.d
-  check, `minor_gcd_invariant_factors` for the Smith form, `betti` (the Smith
-  path's Betti numbers), and `rational_betti` and `convolve`, the
-  `product` suite's rational Betti numbers and Kunneth formula.
+  check, `minor_gcd_invariant_factors` for the Smith form, `rank_mod_p` for
+  the invariant factors divisible by a prime, `betti` (the Smith path's
+  Betti numbers), and `rational_betti` and `convolve`, the `product`
+  suite's rational Betti numbers and Kunneth formula.
 - Reference tables: `TANGLED_REFERENCE`.
 """
 
@@ -90,6 +92,15 @@ def random_unit_heavy_matrix(rng):
     return IntMatrix(nr, nc, {(r, c): rng.choice(values)
                               for r in range(nr) for c in range(nc)
                               if rng.random() < density})
+
+
+def random_scaled_matrix(rng, p):
+    """A `random_unit_heavy_matrix` with each row multiplied by ``p`` with
+    probability 1/3, so that p divides some invariant factors for any p."""
+    m = random_unit_heavy_matrix(rng)
+    scaled = {r for r in range(m.nrows) if rng.random() < 1 / 3}
+    return IntMatrix(m.nrows, m.ncols, {(r, c): v * p if r in scaled else v
+                                        for (r, c), v in m.entries.items()})
 
 
 def longest_repeat_and_return(w, symbol):
@@ -257,3 +268,30 @@ def minor_gcd_invariant_factors(m: IntMatrix):
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Oracle: the rank of m over GF(p), p prime; the rank over Q minus this
+    counts the invariant factors of m that p divides.
+
+    Gaussian elimination mod p, with no arithmetic in common with the Smith
+    path: each row in turn is reduced by its last column against the rows
+    kept so far, and kept, scaled to end in 1, once that column is new."""
+    kept = {}  # last column: the kept row that ends there
+    starts = m.starts
+    for s, e in zip(starts, starts[1:]):
+        row = {c: v % p for c, v in zip(m.cols[s:e], m.vals[s:e]) if v % p}
+        while row:
+            last = max(row)
+            if last not in kept:
+                inverse = pow(row[last], -1, p)
+                kept[last] = {c: v * inverse % p for c, v in row.items()}
+                break
+            f = row[last]
+            for c, v in kept[last].items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(kept)

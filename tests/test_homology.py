@@ -33,12 +33,15 @@ from prodsim.cli import SUITES, _tangled_births
 from prodsim.digraph import longest_path_length
 from prodsim.homology import SnfResult, _rows, _snf, _unit_pass
 from oracles import (
+    TANGLED_REFERENCE,
     minor_gcd_invariant_factors,
     random_consistent_digraph,
     random_dense_matrix,
     random_dow,
     random_matrix,
+    random_scaled_matrix,
     random_unit_heavy_matrix,
+    rank_mod_p,
 )
 
 
@@ -198,6 +201,39 @@ def test_clearing_keeps_every_smith_form(monkeypatch):
     g = rooted_word_graph(tangled_cord(11)).graph
     homology_summaries(build_complex(g, 3, _tangled_births(g, 11)), range(2, 12))
     assert len(multi_cut_rows) == 3 and sum(multi_cut_rows) > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_rank_mod_p_counts_the_factors_p_divides(p):
+    # rank over Q minus rank over GF(p) is the number of invariant factors
+    # that p divides: the modular oracle against the Smith path
+    rng = random.Random(p)
+    divisible = 0
+    for i in range(300):
+        m = random_scaled_matrix(rng, p) if i % 2 else random_dense_matrix(rng)
+        res = snf(m)
+        by_p = sum(1 for d in res.invariant_factors if d % p == 0)
+        assert res.rank - rank_mod_p(m, p) == by_p, m.triplets()
+        divisible += by_p
+    assert divisible > 100
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_tangled_torsion_by_ranks_mod_2_and_3(n):
+    # the Z/2 in H2 of T_n by a path with no arithmetic in common with the
+    # Smith loop: d1 and d2 have the same rank mod 2 and mod 3, and d3 one
+    # less mod 2, so the Betti numbers over GF(3) are the reference's and
+    # over GF(2) beta2 has one more
+    cx = build_complex(rooted_word_graph(tangled_cord(n)).graph, 3)
+    counts, matrices = cx.counts(), cx.release_cells()
+    ranks = {p: {d: rank_mod_p(matrices[d], p) for d in (1, 2, 3)} for p in (2, 3)}
+    assert ranks[2] == {1: ranks[3][1], 2: ranks[3][2], 3: ranks[3][3] - 1}
+    if n == 12:
+        assert (ranks[2][3], ranks[3][3]) == (3877, 3878)
+    beta1, beta2, _ = TANGLED_REFERENCE[n]
+    for p, r in ranks.items():
+        betti = [counts[d] - r.get(d, 0) - r[d + 1] for d in (0, 1, 2)]
+        assert betti == [1, beta1, beta2 + (p == 2)]
 
 
 class TestRationalRank:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from itertools import chain, compress, groupby, repeat
-from operator import and_, itemgetter, lshift, lt
+from collections.abc import Sequence
+from itertools import chain, compress, groupby, islice, repeat
+from operator import and_, itemgetter, lshift, lt, mul
 from typing import NamedTuple
 
 from .digraph import Digraph, longest_path_length
@@ -182,16 +183,21 @@ def _facet_plan(shape, grids):
                    map(itemgetter.__call__, map(itemgetter(0), entries), grids))
 
 
-def _shape_chunks(cells, names):
-    """The cells in runs of consecutive cells of one shape, each at most
-    `_RUN` long: (shape, the run's ``names``, its grids)."""
+def _spread(runs, field):
+    """Each cell's ``field`` (0 its birth, 1 its shape), cell by cell, from
+    a dimension's (birth, shape, count) runs."""
+    return chain.from_iterable(repeat(run[field], run[2]) for run in runs)
+
+
+def _shape_chunks(grids, runs):
+    """A dimension's grids in runs of consecutive cells of one shape, each
+    at most `_RUN` long: (shape, the run's grids)."""
     lo = 0
-    for shape, run in groupby(cells, itemgetter(0)):
-        grids = list(map(itemgetter(1), run))
-        for start in range(0, len(grids), _RUN):
-            chunk = grids[start:start + _RUN]
-            yield shape, names[lo:lo + len(chunk)], chunk
-            lo += len(chunk)
+    for shape, same in groupby(runs, itemgetter(1)):
+        hi = lo + sum(map(itemgetter(2), same))
+        for start in range(lo, hi, _RUN):
+            yield shape, grids[start:min(start + _RUN, hi)]
+        lo = hi
 
 
 def facets(cell: Cell):
@@ -308,56 +314,127 @@ def _search(grid, m, base, fwd, far, ids, found):
         cands[t] = cand
 
 
+class _Cells(Sequence):
+    """One dimension's cells, in order, each `Cell` built from the
+    dimension's index grids and runs as it is read."""
+
+    __slots__ = ("_grids", "_runs")
+
+    def __init__(self, grids, runs):
+        self._grids, self._runs = grids, runs
+
+    def __len__(self):
+        return len(self._grids)
+
+    def __iter__(self):
+        return map(Cell, _spread(self._runs, 1), self._grids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        grid = self._grids[i]
+        i %= len(self._grids)
+        for _, shape, n in self._runs:
+            if i < n:
+                return Cell(shape, grid)
+            i -= n
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Cells) else other)
+
+
 class ChainComplex:
     """Cells graded by dimension with integer boundary matrices.
 
-    A cell's grid holds indices into ``labels``, the sorted vertex labels,
-    so index order is label order and cells sort, and settle factor ties,
-    as their labelled forms do; `labelled` gives a dimension's cells with
-    labels.  Cell lists are sorted, so the matrices are byte-identical
-    across runs.  ``complete`` records whether the graph provably has no
-    cells above ``max_dim``.  ``births``, when the cells are ordered by
-    birth (see `build_complex`), lists each dimension's births in the same
-    order.
+    A dimension is held as its cells' grids, in order, and its runs: each
+    run (birth, shape, count) stands for ``count`` consecutive cells of one
+    shape and, when the cells are ordered by birth (see `build_complex`),
+    of one birth, None otherwise.  Only the dimensions that hold cells are
+    kept, so a large ``max_dim`` costs nothing above the top cell.  A grid
+    holds indices into ``labels``, the sorted vertex labels, so index order
+    is label order and cells sort, and settle factor ties, as their labelled
+    forms do.  Cells are sorted, so the matrices are byte-identical across
+    runs.  ``complete`` records whether the graph provably has no cells
+    above ``max_dim``.
 
-    `boundary_matrix` builds a matrix afresh from the cells on each call;
-    `release_cells` hands every matrix over once and drops the cells, after
-    which only the counts and births stay.
+    ``cells`` maps every dimension 0..max_dim to a sequence of its `Cell`s,
+    each built as it is read; `labelled` gives them with labels, and
+    ``births``, on a birth-ordered complex, each cell's birth.
+
+    `boundary_matrix` builds a matrix afresh from the grids on each call;
+    `release_cells` hands every matrix over once and drops the grids, after
+    which only the runs stay: the counts and births.
     """
 
-    def __init__(self, labels, max_dim: int, cells, complete: bool, births=None):
+    def __init__(self, labels, max_dim: int, grids, runs, complete: bool, by_birth=False):
         self.max_dim = max_dim
         self.labels = labels
-        self.cells = cells
         self.complete = complete
-        self.births = births
-        self._counts = {d: len(cs) for d, cs in cells.items()}
+        self.by_birth = by_birth
+        self._grids = grids  # {d: [grid, ...]} for each d that holds cells
+        self._runs = runs  # {d: [(birth, shape, count), ...]}, the same d
         # cell indices, one shared int each, as every grid shares its vertex
         # indices: the matrices' columns hold them, and a row dict's keys
-        self._index = list(range(max(self._counts.values())))
+        self._index = list(range(max(map(len, grids.values()), default=0)))
+
+    @classmethod
+    def from_cells(cls, labels, max_dim: int, cells, complete: bool):
+        """The complex of ``cells``, a {d: [Cell]} map of index-grid cells
+        in the order the matrices take them."""
+        grids, runs = {}, {}
+        for d, cs in cells.items():
+            if cs:
+                grids[d] = [c.grid for c in cs]
+                runs[d] = [(None, shape, len(list(same)))
+                           for shape, same in groupby(c.shape for c in cs)]
+        return cls(labels, max_dim, grids, runs, complete)
+
+    @property
+    def cells(self):
+        """{d: dimension d's `Cell`s} for d = 0..max_dim, None once released."""
+        if self._grids is None:
+            return None
+        return {d: _Cells(*self._dimension(d)) for d in range(self.max_dim + 1)}
+
+    @property
+    def births(self):
+        """{d: each d-cell's birth, in order} on a birth-ordered complex,
+        else None."""
+        if not self.by_birth:
+            return None
+        return {d: list(_spread(self._runs.get(d, ()), 0)) for d in range(self.max_dim + 1)}
 
     def counts(self):
-        return dict(self._counts)
+        return {d: sum(map(itemgetter(2), self._runs.get(d, ()))) for d in range(self.max_dim + 1)}
+
+    def born_by(self, t):
+        """{d: how many d-cells are born by ``t``} for d = 0..max_dim: a
+        leading block of each dimension of a birth-ordered complex."""
+        if not self.by_birth:
+            raise ValueError("births to report need a complex built with births")
+        return {d: sum(n for b, _, n in self._runs.get(d, ()) if b <= t)
+                for d in range(self.max_dim + 1)}
 
     def top_dim(self) -> int:
-        return max((d for d, c in self._counts.items() if c), default=0)
+        return max(self._runs, default=0)
 
     def _named(self, cell: Cell) -> Cell:
         return Cell(cell.shape, tuple(map(self.labels.__getitem__, cell.grid)))
 
     def _dimension(self, d: int):
-        if self.cells is None:
+        """Dimension d's grids and runs."""
+        if self._grids is None:
             raise RuntimeError("the cells were released; build the complex again")
-        return self.cells.get(d, [])
+        return self._grids.get(d, ()), self._runs.get(d, ())
 
     def labelled(self, d: int):
         """Dimension d's cells, in order, with grids of vertex labels."""
-        return list(map(self._named, self._dimension(d)))
+        return list(map(self._named, _Cells(*self._dimension(d))))
 
     def release_cells(self, top: int | None = None) -> dict:
         """{n: d_n} for n = 1..``top``, by default the top dimension, checked
         to square to zero.  They are built from d_top down, and each
-        dimension's cells go once the last matrix that reads them is built,
+        dimension's grids go once the last matrix that reads them is built,
         all of them even when an assembly raises; reading the cells after
         this raises RuntimeError.  The flat matrices are all a reduction
         needs: it makes row dicts of its own from them."""
@@ -366,9 +443,9 @@ class ChainComplex:
         try:
             for n in range(top, 0, -1):
                 matrices[n] = self.boundary_matrix(n)
-                self.cells.pop(n, None)
+                self._grids.pop(n, None)
         finally:
-            self.cells = self._index = None
+            self._grids = self._index = None
         self.check_boundary_squares_to_zero(matrices)
         return matrices
 
@@ -376,35 +453,39 @@ class ChainComplex:
         """Signed incidence of n-cells (columns) on (n-1)-cells (rows)."""
         if not 1 <= n <= self.max_dim:
             raise ValueError(f"boundary degree {n} outside 1..{self.max_dim}")
-        cols, below = self._dimension(n), self._dimension(n - 1)
+        (cols, runs), (below, below_runs) = self._dimension(n), self._dimension(n - 1)
         row_of = defaultdict(dict)  # {shape: {grid: row}}
-        for cell, i in zip(below, self._index):
-            row_of[cell.shape][cell.grid] = i
+        rows, index = iter(below), iter(self._index)
+        for _, shape, count in below_runs:
+            row_of[shape].update(zip(islice(rows, count), index))
         # a run's facets are looked up rule by rule and laid out cell by
-        # cell, so the entries come in column order: ``at`` holds their rows,
-        # ``signs`` their values and ``where`` each cell's column, once per
-        # facet; the facets of a cell are distinct cells, so each entry is
-        # written once
-        at, signs, where = [], [], []
+        # cell, so the entries come in column order: ``at`` holds their rows
+        # and ``signs`` their values, in lists of the exact size, and a cell
+        # has one facet per rule of its shape; the facets of a cell are
+        # distinct cells, so each entry is written once
+        nfacets = [len(_shape_rule(shape)[1]) for _, shape, _ in runs]
+        size = sum(map(mul, nfacets, map(itemgetter(2), runs)))
+        at, signs = [None] * size, [None] * size
+        lo = 0
         try:
-            for shape, js, grids in _shape_chunks(cols, self._index):
+            for shape, grids in _shape_chunks(cols, runs):
                 nrules = len(_shape_rule(shape)[1])
-                run_rows, run_signs = [None] * (nrules * len(js)), [None] * (nrules * len(js))
+                hi = lo + nrules * len(grids)
                 for rule, (sub_shape, facet_signs, fac_grids) in enumerate(_facet_plan(shape, grids)):
-                    run_rows[rule::nrules] = map(row_of[sub_shape].__getitem__, fac_grids)
-                    run_signs[rule::nrules] = facet_signs
-                at += run_rows
-                signs += run_signs
-                where.append(map(repeat, js, repeat(nrules)))
+                    at[lo + rule:hi:nrules] = map(row_of[sub_shape].__getitem__, fac_grids)
+                    signs[lo + rule:hi:nrules] = facet_signs
+                lo = hi
         except KeyError as exc:
             fac = Cell(sub_shape, exc.args[0])
-            cell = next(c for c in cols if any(f == fac for f, _ in facets(c)))
+            cell = next(c for c in _Cells(cols, runs) if any(f == fac for f, _ in facets(c)))
             raise InconsistentComplexError(
                 f"facet {self._named(fac)!r} of {self._named(cell)!r} "
                 f"missing from dimension {n - 1}") from None
         del row_of  # d3's layout is the peak of `table N`; the index is done
-        return IntMatrix.from_column_major(len(below), len(cols), at,
-                                           chain.from_iterable(chain.from_iterable(where)), signs)
+        # each entry's column: a cell's index, once per facet
+        per_cell = chain.from_iterable(map(repeat, nfacets, map(itemgetter(2), runs)))
+        where = chain.from_iterable(map(repeat, self._index, per_cell))
+        return IntMatrix.from_column_major(len(below), len(cols), at, where, signs)
 
     def check_boundary_squares_to_zero(self, matrices):
         """Raise InconsistentComplexError when d_{n-1} o d_n is nonzero for
@@ -420,25 +501,31 @@ class ChainComplex:
 
 
 def _ordered(groups, born):
-    """One dimension's cells from (shape, grids) groups, and their births.
+    """One dimension's grids, in order, from (shape, grids) groups, and
+    their (birth, shape, count) runs.  The groups' lists are sorted in place.
 
-    The cells come sorted by cell and then, when ``born`` maps each vertex
-    index to its birth, stably by birth, so by (birth, cell): each cell's
-    birth is worked out once and the cells, taken in cell order, are
-    bucketed by it.
+    The grids come sorted by cell and then, when ``born`` maps each vertex
+    index to its birth, stably by birth, so by (birth, cell): each grid's
+    birth is worked out once and the grids, taken in cell order, are
+    bucketed by birth and shape, a run per bucket.
     """
-    cells = [Cell(shape, grid) for shape, grids in sorted(groups, key=itemgetter(0))
-             for grid in sorted(grids)]
+    groups = sorted(groups, key=itemgetter(0))
+    for _, grids in groups:
+        grids.sort()
     if born is None:
-        return cells, None
-    buckets = defaultdict(list)
-    for b, cell in zip(map(max, map(map, repeat(born.__getitem__), map(itemgetter(1), cells))),
-                       cells):
-        buckets[b].append(cell)
-    del cells
-    births = sorted(buckets)
-    return (list(chain.from_iterable(map(buckets.__getitem__, births))),
-            list(chain.from_iterable(repeat(b, len(buckets[b])) for b in births)))
+        return (list(chain.from_iterable(map(itemgetter(1), groups))),
+                [(None, shape, len(grids)) for shape, grids in groups if grids])
+    buckets = defaultdict(list)  # {(birth, shape): grids}
+    for shape, grids in groups:
+        for b, grid in zip(map(max, map(map, repeat(born.__getitem__), grids)), grids):
+            buckets[b, shape].append(grid)
+    del groups
+    ordered, runs = [], []
+    for b, shape in sorted(buckets):
+        grids = buckets.pop((b, shape))
+        ordered += grids
+        runs.append((b, shape, len(grids)))
+    return ordered, runs
 
 
 def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
@@ -453,7 +540,7 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
 
     ``birth``, a {vertex: int} map, orders each dimension by (birth, cell)
     instead of by cell, where a cell is born with the latest vertex on its
-    grid, and the complex's ``births`` list them in that order.  Under the
+    grid, and the complex's runs carry the births.  Under the
     induced-subgraph rule the cells born by t are the complex of the
     subgraph on the vertices born by t: a face-closed prefix of every
     dimension.
@@ -467,6 +554,7 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     inn = [sum(1 << index[w] for w in g.inn(v)) for v in labels]
     fwd = [o & ~i for o, i in zip(out, inn)]
     far = [~(o | i | 1 << v) for v, o, i in zip(ids, out, inn)]
+    del out, inn
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
     # cell, so the (1,) grids that grow the higher cells are the one-way
     # edges only, while dimension 1 holds every edge
@@ -482,17 +570,22 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
             break  # every cell of dimension n + 1 grows from one of these
         if n > 1:
             groups[n] = [(shape, by_shape[shape]) for shape in shapes]
+    # each dimension's lists go once it is ordered; no dimension above the
+    # first empty one is kept
+    del by_shape, fwd, far
     born = None if birth is None else [birth[v] for v in labels]
-    cells, births = {}, {}
-    for n in range(max_dim + 1):
-        cells[n], births[n] = _ordered(groups.get(n, ()), born)
-    complete = not cells[max_dim]
+    grids, runs = {}, {}
+    for n in sorted(groups):
+        ordered, ordered_runs = _ordered(groups.pop(n), born)
+        if ordered:
+            grids[n], runs[n] = ordered, ordered_runs
+    complete = max_dim not in grids
     if not complete:
         try:
             complete = max_dim >= longest_path_length(g)
         except ValueError:  # cyclic: no path length bounds the cell dimension
             pass
-    return ChainComplex(labels, max_dim, cells, complete, None if birth is None else births)
+    return ChainComplex(labels, max_dim, grids, runs, complete, birth is not None)
 
 
 def complex_to_json_obj(cx: ChainComplex) -> dict:

@@ -328,8 +328,7 @@ def _rational_betti(g: Digraph) -> list:
     `rational_rank`, an elimination that shares nothing with the Smith path."""
     cx = build_complex(g, max(1, longest_path_length(g)))
     ranks = {n: rational_rank(cx.boundary_matrix(n)) for n in range(1, cx.max_dim + 1)}
-    out = [len(cx.cells[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-           for n in range(cx.max_dim + 1)]
+    out = [c - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, c in cx.counts().items()]
     while out and not out[-1]:
         out.pop()
     return out

@@ -50,6 +50,10 @@ class Digraph:
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, not `__setattr__`
+        return Digraph, (self.vertices, self.edges)
+
     def __contains__(self, v):
         return v in self._out
 

@@ -206,16 +206,35 @@ def delete_factor(d: Dow, factor: Factor) -> Dow:
     return _relabelled(d[:a] + d[b + 1:c] + d[e + 1:])
 
 
+# the one object standing for each word that `successors` has met, as
+# argument or as result: a word graph then holds one `Dow` per word, not a
+# fresh one per edge
+_words = {}
+
+
 @functools.lru_cache(maxsize=None)
 def successors(d: Dow) -> tuple[Dow, ...]:
     """D(d): canonical single-deletion successors, deduplicated and sorted.
 
     The two spans of a maximal factor are disjoint and the first comes
-    first, so slicing both out leaves a double occurrence word."""
-    if not d:
-        return ()
-    return tuple(sorted({_relabelled(d[:a] + d[b + 1:c] + d[e + 1:])
-                         for _, ((a, b), (c, e)) in _factor_spans(d)}))
+    first, so slicing both out leaves a double occurrence word.  The word
+    and its successors are interned: each successor is the first object
+    equal to it that this memo met.  ``cache_clear`` empties the memo and
+    that table together."""
+    intern = _words.setdefault
+    if type(d) is Dow:  # a plain tuple must not stand for a word
+        intern(d, d)
+    deleted = (_relabelled(d[:a] + d[b + 1:c] + d[e + 1:])
+               for _, ((a, b), (c, e)) in _factor_spans(d))
+    return tuple(sorted({intern(w, w) for w in deleted}))
+
+
+def _cache_clear(clear_memo=successors.cache_clear):
+    clear_memo()
+    _words.clear()
+
+
+successors.cache_clear = _cache_clear
 
 
 def is_squarefree(d: Dow) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from itertools import islice
 from typing import NamedTuple
 
@@ -132,13 +131,20 @@ def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
     units = 0
     stuck, paired, per_cut = [], set(), []
     r0 = c0 = 0
-    for nr, nc in cuts:
+    last = len(cuts) - 1
+    for k, (nr, nc) in enumerate(cuts):
         if nr < r0 or nc < c0:
             raise ValueError(f"cut {(nr, nc)} does not contain the cut {(r0, c0)} before it")
-        for r, row in _rows(m, cleared, range(r0, nr), ncols).items():
+        before = len(rows)
+        rows.update(_rows(m, cleared, range(r0, nr), ncols))
+        if k == last:
+            # every row is read: a matrix and a cleared set handed over, as
+            # `homology_summaries` hands them, are freed before the last
+            # cut's columns are listed and its pass runs
+            del m, cleared
+        for r, row in islice(rows.items(), before, None):
             if c0 and min(row) < c0:
                 raise ValueError(f"cut {(r0, c0)} is not face-closed: row {r} meets column {min(row)}")
-            rows[r] = row
             for c in row:
                 cols.setdefault(c, []).append(r)
         pivots, stuck = _unit_pass(rows, cols, stuck + [c for c in cols if c0 <= c < nc])
@@ -151,25 +157,28 @@ def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
 
 
 def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
-    """Row dicts of ``rows`` of m, a range, by default all of them, cut at
-    ``ncols`` columns and without the ``cleared`` and the empty ones, for the
-    eliminations to work on in place; m is left as it is.
+    """(r, row dict) for each of ``rows`` of m, a range, by default all of
+    them, in order, cut at ``ncols`` columns and without the ``cleared`` and
+    the empty ones, for the eliminations to work on in place; m is left as
+    it is.
 
     One pass over the rows' nonzeros hands each kept row its own and skips
     a cleared row's."""
     rows = range(m.nrows) if rows is None else rows
-    bounds = m.starts[rows.start:rows.stop + 1].tolist()
+    cut = ncols is not None and ncols < m.ncols
+    bounds = m.starts[rows.start:rows.stop + 1]
     entries = zip(islice(m.cols, bounds[0], bounds[-1]), islice(m.vals, bounds[0], bounds[-1]))
-    out = {}
     for r, s, e in zip(rows, bounds, bounds[1:]):
-        if s != e:
-            if r in cleared:
-                next(islice(entries, e - s - 1, None))
-            else:
-                out[r] = dict(islice(entries, e - s))
-    if ncols is not None and ncols < m.ncols:
-        out = {r: cut for r, row in out.items() if (cut := {c: v for c, v in row.items() if c < ncols})}
-    return out
+        if s == e:
+            continue
+        if r in cleared:
+            next(islice(entries, e - s - 1, None))
+            continue
+        row = dict(islice(entries, e - s))
+        if cut:
+            row = {c: v for c, v in row.items() if c < ncols}
+        if row:
+            yield r, row
 
 
 def _leftover(rows, cols, stuck):
@@ -390,27 +399,26 @@ def homology_summaries(cx: ChainComplex, born_by=None, max_deg: int | None = Non
     of rows and columns, so each result is exact over Z, torsion included;
     its cell counts and Euler characteristic are the prefix's.
 
-    The complex hands its checked matrices over (`ChainComplex.release_cells`)
-    and each is dropped once its degree is reduced.
+    The complex hands its checked matrices over (`ChainComplex.release_cells`),
+    and each matrix, with the columns it is cleared by, is freed once `snf`
+    has read the rows of its last cut.
     """
-    if born_by is None:
-        cuts = [cx.counts()]
-    elif cx.births is None:
-        raise ValueError("births to report need a complex built with births")
-    else:
-        cuts = [{d: bisect_right(bs, t) for d, bs in cx.births.items()} for t in born_by]
+    cuts = [cx.counts()] if born_by is None else [cx.born_by(t) for t in born_by]
     if max_deg is None:
         max_deg = max(cx.max_dim - 1, 0)
     top = min(max_deg + 1, max((d for d, c in cuts[-1].items() if c), default=0))
     matrices = cx.release_cells(top)
     forms = {}
-    cleared = ()
+    cleared = [()]
     for n in range(1, top + 1):
         # the +-1 pivot columns of d_n are n-cells, rows that d_{n+1} drops;
-        # each set is freed once the next degree has used it
-        res = snf(matrices.pop(n), cleared=cleared,
+        # each matrix and set is handed to `snf`, which frees it once read,
+        # so nothing here keeps them: not even ``res``
+        res = snf(matrices.pop(n), cleared=cleared.pop(),
                   cuts=[(c.get(n - 1, 0), c.get(n, 0)) for c in cuts])
-        forms[n], cleared = res.per_cut, res.paired
+        forms[n] = res.per_cut
+        cleared.append(res.paired)
+        del res
     return [_summary(cx, counts, {n: f[i] for n, f in forms.items()}, max_deg)
             for i, counts in enumerate(cuts)]
 

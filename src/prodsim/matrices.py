@@ -9,16 +9,27 @@ from itertools import accumulate, chain, repeat
 from operator import sub
 
 
+def _values(vals):
+    """A list of ints as `IntMatrix` keeps its values: signed bytes when
+    every one fits in one, else the list."""
+    try:
+        return array("b", vals)
+    except OverflowError:
+        return vals
+
+
 class IntMatrix:
     """A sparse integer matrix stored row-major in three flat sequences.
 
     ``starts`` is an array of nrows + 1 offsets: row r's nonzeros lie at
     ``starts[r]:starts[r + 1]`` of ``cols``, their columns in ascending
     order, and of ``vals``, their values, nonzero Python ints of any size.
-    ``cols`` and ``vals`` are lists; in a boundary matrix they hold the
-    complex's shared cell indices and the shared ints +-1, so a nonzero costs
-    two list slots, 16 bytes.  A matrix is not changed once built: `snf`
-    makes row dicts of its own, and equal matrices have equal sequences.
+    ``cols`` is a list; in a boundary matrix it holds the complex's shared
+    cell indices.  ``vals`` is an array of signed bytes when every value
+    fits in one, as a boundary matrix's +-1 do, and a list otherwise, so a
+    nonzero of a boundary matrix costs 9 bytes.  A matrix is not changed
+    once built: `snf` makes row dicts of its own, and equal matrices have
+    equal sequences.
     """
 
     __slots__ = ("nrows", "ncols", "starts", "cols", "vals")
@@ -32,7 +43,7 @@ class IntMatrix:
         rows = [r for (r, _), _ in entries]
         self.nrows, self.ncols = nrows, ncols
         self.starts = array("q", map(bisect_left, repeat(rows), range(nrows + 1)))
-        self.cols, self.vals = [c for (_, c), _ in entries], [v for _, v in entries]
+        self.cols, self.vals = [c for (_, c), _ in entries], _values([v for _, v in entries])
 
     @classmethod
     def from_column_major(cls, nrows: int, ncols: int, rows, cols, vals) -> "IntMatrix":
@@ -47,12 +58,17 @@ class IntMatrix:
         free = list(accumulate(free))  # each row's next free place
         m = cls.__new__(cls)
         m.nrows, m.ncols, m.starts = nrows, ncols, array("q", free)
-        m.cols, m.vals = out_cols, out_vals = [0] * len(rows), [0] * len(rows)
+        m.cols = out_cols = [0] * len(rows)
+        m.vals = out_vals = array("b", bytes(len(rows)))
         for r, c, v in zip(rows, cols, vals):
             at = free[r]
             free[r] = at + 1
             out_cols[at] = c
-            out_vals[at] = v
+            try:
+                out_vals[at] = v
+            except OverflowError:  # past a signed byte: every value goes to a list
+                m.vals = out_vals = list(out_vals)
+                out_vals[at] = v
         return m
 
     @classmethod

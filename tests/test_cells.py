@@ -29,6 +29,7 @@ from oracles import (
     add_layer_per_grid,
     brute_force_cells,
     canonical_with_sign,
+    dow,
     random_consistent_digraph,
     random_digraph,
     random_dow,
@@ -320,6 +321,58 @@ class TestBuildComplex:
         assert cx.counts()[3] > 0
         assert peak - before <= 1.2 * (held - before), (peak - before, held - before)
 
+    def test_the_complex_holds_grids_and_runs(self):
+        # each cell is its index grid, with no `Cell` or birth of its own:
+        # G_12's birth-ordered complex held 2.61 MiB as `Cell`s and a birth
+        # list per dimension
+        import tracemalloc
+
+        g = rooted_word_graph(tangled_cord(12)).graph
+        birth = _tangled_births(g, 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cx = build_complex(g, 3, birth)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cx.counts() == {0: 377, 1: 1996, 2: 5609, 3: 6381}
+        assert held < 2.0 * 2**20, held / 2**20
+
+    def test_cells_are_built_as_they_are_read(self):
+        g = rooted_word_graph(tangled_cord(8)).graph
+        cx = build_complex(g, 3, _tangled_births(g, 8))
+        for d, cells in cx.cells.items():
+            listed = list(cells)
+            assert len(cells) == len(listed) == cx.counts()[d]
+            assert cells == listed and cells == cx.cells[d]
+            assert [cells[i] for i in range(-len(listed), len(listed))] == listed * 2
+            assert cells[1:3] == listed[1:3]
+            assert len(cx.births[d]) == len(listed)
+        assert cx.cells[3] and all(type(c) is Cell for c in cx.cells[3])
+        with pytest.raises(IndexError):
+            cx.cells[0][len(cx.cells[0])]
+
+    def test_nothing_is_held_above_the_top_dimension(self):
+        # a 2-vertex graph at a huge max_dim: one list per dimension up to
+        # max_dim held 36 MiB; the counts and cells read as before
+        import tracemalloc
+
+        g = rooted_word_graph(dow("1212")).graph
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cx = build_complex(g, 200000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 2**10, held
+        counts = cx.counts()
+        assert len(counts) == 200001 and counts[0] == 2 and counts[1] == 1
+        assert not any(counts[d] for d in range(2, 200001))
+        assert cx.labelled(1) == [Cell((1,), ("1,2,1,2", "e"))]
+        assert cx.labelled(150000) == [] and cx.top_dim() == 1 and cx.complete
+
     def test_cyclic_graph_accepted(self):
         g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
         cx = build_complex(g, 2)
@@ -515,7 +568,7 @@ class TestBoundaryMatrix:
                 mp.setattr(cells_module, "_RUN", run)
                 for g, cx in built:
                     cells = {d: rng.sample(cs, len(cs)) for d, cs in cx.cells.items()}
-                    shuffled = ChainComplex(cx.labels, cx.max_dim, cells, cx.complete)
+                    shuffled = ChainComplex.from_cells(cx.labels, cx.max_dim, cells, cx.complete)
                     for n in range(1, cx.max_dim + 1):
                         assert shuffled.boundary_matrix(n) == oracle(shuffled, n), n
                         shapes = [c.shape for c in cells[n]]
@@ -543,7 +596,7 @@ class TestBoundaryMatrix:
         edges = [cell((1,), e) for e in sorted(g.edges) if e != ("b", "d")]
         cells = {0: [cell((), (v,)) for v in sorted(g.vertices)], 1: edges,
                  2: [triangle, square]}
-        cx = ChainComplex(sorted(g.vertices), 2, cells, False)
+        cx = ChainComplex.from_cells(sorted(g.vertices), 2, cells, False)
         with pytest.raises(InconsistentComplexError) as exc:
             cx.boundary_matrix(2)
         message = str(exc.value)

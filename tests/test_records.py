@@ -170,10 +170,33 @@ class TestWordGraph:
             _assign_fails(self.wg, name)
 
     def test_copy(self):
-        # deepcopy and pickle stop at the Digraph, which cannot be rebuilt
-        # through its slots
+        # a shallow copy shares the graph
         back = copy.copy(self.wg)
         assert back == self.wg and back.graph is self.wg.graph
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+    def test_round_trips(self, trip):
+        back = trip(self.wg)
+        assert back == self.wg and type(back) is WordGraph
+        assert type(back.graph) is Digraph and type(back.root) is Dow
+
+
+class TestDigraph:
+    graph = Digraph(["b", "a", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            self.graph.vertices = ()
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+    def test_round_trips(self, trip):
+        # rebuilt through the constructor, so the vertex order and every
+        # neighbour set come back
+        back = trip(self.graph)
+        assert back == self.graph and type(back) is Digraph
+        assert back.vertices == ("b", "a", "c") and back.edges == self.graph.edges
+        assert all(back.out(v) == self.graph.out(v) and back.inn(v) == self.graph.inn(v)
+                   for v in self.graph.vertices)
 
 
 def test_import_loads_only_what_a_run_uses():

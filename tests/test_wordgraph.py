@@ -18,6 +18,7 @@ from prodsim import (
     parse_word,
     rooted_word_graph,
     successors,
+    tangled_cord,
     word_label,
 )
 from prodsim.cli import SUITES
@@ -117,6 +118,27 @@ class TestGlobalWordGraph:
         # oracle: perfect matchings on 6 slots give 15 distinct canonical words
         assert len(_dows_by_matching(3)) == 15
         assert len(global_word_graph(3).graph.vertices) == 20
+
+    def test_holds_one_object_per_word(self):
+        # successors interns each word it meets, so the memo's tuples share
+        # the graph's words instead of holding one fresh word per edge; the
+        # memo is cleared first, and its table of words with it
+        successors.cache_clear()
+        words = list(global_word_graph(5).words.values())
+        held = {id(w) for w in words} | {id(v) for w in words for v in successors(w)}
+        assert len(words) == len(held) == 1070
+        assert all(type(w) is Dow for w in words)
+
+    def test_interning_keeps_the_memo_counts(self):
+        # the tangled table's word graph asks for each word's successors
+        # once; the global graph then meets 8 of its 20 words in the memo
+        successors.cache_clear()
+        rooted_word_graph(tangled_cord(12))
+        info = successors.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 377, 377)
+        global_word_graph(3)
+        info = successors.cache_info()
+        assert (info.hits, info.misses) == (8, 389)
 
 
 class TestEnumerateDows:

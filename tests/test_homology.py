@@ -162,6 +162,49 @@ def test_unit_pass_keeps_the_column_index_exact():
     check()
 
 
+def test_the_unit_pass_bounds_d3s_fill_on_g12(monkeypatch):
+    # d3 of G_12's birth-ordered complex, under the table's cuts and
+    # clearing: an entry update is an entry that a row operation of the
+    # unit pass sets or deletes in the row it changes, counted by rows that
+    # count their own writes.  Columns of equal length taken lowest index
+    # first made 70 122; by first row, then latest index first, 28 297
+    from prodsim import homology
+
+    updates = [0]
+
+    class CountingRow(dict):
+        __slots__ = ()
+
+        def __setitem__(self, k, v):
+            updates[0] += 1
+            dict.__setitem__(self, k, v)
+
+        def __delitem__(self, k):
+            updates[0] += 1
+            dict.__delitem__(self, k)
+
+    rows, plain = homology._rows, homology.snf
+    per_degree = []
+
+    def counting_rows(*args, **kwargs):
+        return ((r, CountingRow(row)) for r, row in rows(*args, **kwargs))
+
+    def counted(m, **clearing):
+        before = updates[0]
+        res = plain(m, **clearing)
+        per_degree.append(updates[0] - before)
+        return res
+
+    monkeypatch.setattr(homology, "_rows", counting_rows)
+    monkeypatch.setattr(homology, "snf", counted)
+    g = rooted_word_graph(tangled_cord(12)).graph
+    ns = range(2, 13)
+    summaries = homology_summaries(build_complex(g, 3, _tangled_births(g, 12)), ns)
+    assert [(s.betti[1], s.betti[2], s.cell_counts[0]) for s in summaries] == [
+        TANGLED_REFERENCE[n] for n in ns]
+    assert len(per_degree) == 3 and per_degree[2] <= 35_000, per_degree
+
+
 def test_clearing_keeps_every_smith_form(monkeypatch):
     # homology_summary leaves out the rows of d_{n+1} that d_n's +-1 pivots
     # paired; every cleared Smith form must equal the plain one of the same
@@ -516,24 +559,24 @@ def test_one_pass_gives_each_cut_the_smith_form_of_its_block():
 
 
 def test_paired_holds_only_pivots_found_in_their_own_block():
-    # column 0 meets no +-1 when block 1 pops it; the pivot on column 1 then
-    # turns its 2 into a -1, and block 2 pivots it.  Its row in d_{n+1} may
-    # be left out only if every cut holding it clears it, so it is not
-    # reported
-    m = IntMatrix.from_rows([[3, 1], [2, 1]])
+    # both columns have two rows and first row 0, so block 1 pops the later
+    # column 1 first, and it meets no +-1; the pivot on column 0 then turns
+    # its 2 into a -1, and block 2 pivots it.  Its row in d_{n+1} may be
+    # left out only if every cut holding it clears it, so it is not reported
+    m = IntMatrix.from_rows([[1, 3], [1, 2]])
     res = snf(m, cuts=[(2, 2), (2, 2)])
     assert res.rank == 2
-    assert res.paired == {1} and res.per_cut == ((2, ()), (2, ()))
+    assert res.paired == {0} and res.per_cut == ((2, ()), (2, ()))
 
 
 def test_snf_equality_ignores_what_it_hands_forward():
     # the cuts' forms and the paired columns ride along with the factors
     # but take no part in equality or repr
-    m = IntMatrix.from_rows([[3, 1], [2, 1]])
+    m = IntMatrix.from_rows([[1, 3], [1, 2]])
     two_cuts, plain = snf(m, cuts=[(2, 2), (2, 2)]), snf(m)
     other = SnfResult((1, 1), ((0, ()),), {0, 1})
     assert (len(two_cuts.per_cut), len(plain.per_cut)) == (2, 1)
-    assert two_cuts.paired == {1} != other.paired
+    assert two_cuts.paired == {0} != other.paired
     assert two_cuts == plain == other == SnfResult((1, 1))
     assert hash(two_cuts) == hash(plain) == hash(other)
     assert repr(two_cuts) == repr(other) == "SnfResult(invariant_factors=(1, 1))"

@@ -528,6 +528,28 @@ def _ordered(groups, born):
     return ordered, runs
 
 
+def _index_form(g: Digraph, labels, ids):
+    """What the cell search reads of ``g``, whose sorted ``labels`` take the
+    indices ``ids``: the length of its longest path, None when it has a
+    cycle, its edges as index pairs, and the ``fwd`` and ``far`` masks of
+    `_add_layer`."""
+    try:
+        longest = longest_path_length(g)
+    except ValueError:  # cyclic: no path length bounds the cell dimension
+        longest = None
+    index = dict(zip(labels, ids))
+    edges = [(index[u], index[v]) for u, v in g.edges]
+    # one vertex's out- and in-masks at a time: whole lists of them would
+    # double the masks while the graph is still held
+    fwd, far = [], []
+    for v, label in zip(ids, labels):
+        out = sum(1 << index[w] for w in g.out(label))
+        inn = sum(1 << index[w] for w in g.inn(label))
+        fwd.append(out & ~inn)
+        far.append(~(out | inn | 1 << v))
+    return longest, edges, fwd, far
+
+
 def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     """Assemble the prodsimplicial complex of a digraph through max_dim.
 
@@ -537,6 +559,10 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
     is closed under faces by construction.  Grids hold vertex indices (see
     `ChainComplex`), each vertex's index one int object shared by every
     grid: a fresh int above 256 would cost a grid more than its label.
+
+    The graph is read once, into the index form of `_index_form`, and
+    dropped before any cell grows: a caller that passes its only reference,
+    as the CLI does, frees the graph before the search.
 
     ``birth``, a {vertex: int} map, orders each dimension by (birth, cell)
     instead of by cell, where a cell is born with the latest vertex on its
@@ -549,18 +575,13 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
         raise ValueError("max_dim must be at least 1")
     labels = sorted(g.vertices)
     ids = list(range(len(labels)))
-    index = dict(zip(labels, ids))
-    out = [sum(1 << index[w] for w in g.out(v)) for v in labels]
-    inn = [sum(1 << index[w] for w in g.inn(v)) for v in labels]
-    fwd = [o & ~i for o, i in zip(out, inn)]
-    far = [~(o | i | 1 << v) for v, o, i in zip(ids, out, inn)]
-    del out, inn
+    longest, edges, fwd, far = _index_form(g, labels, ids)
+    del g
     # grids of vertex indices per shape; a 2-cycle never lies in a higher
     # cell, so the (1,) grids that grow the higher cells are the one-way
     # edges only, while dimension 1 holds every edge
     by_shape = {(): [(v,) for v in ids]}
-    groups = {0: [((), by_shape[()])],
-              1: [((1,), [(index[u], index[v]) for u, v in g.edges])]}
+    groups = {0: [((), by_shape[()])], 1: [((1,), edges)]}
     for n in range(1, max_dim + 1):
         shapes = _partitions(n)
         for shape in shapes:
@@ -579,12 +600,8 @@ def build_complex(g: Digraph, max_dim: int = 3, birth=None) -> ChainComplex:
         ordered, ordered_runs = _ordered(groups.pop(n), born)
         if ordered:
             grids[n], runs[n] = ordered, ordered_runs
-    complete = max_dim not in grids
-    if not complete:
-        try:
-            complete = max_dim >= longest_path_length(g)
-        except ValueError:  # cyclic: no path length bounds the cell dimension
-            pass
+    # no cell has a dimension above the longest path's length
+    complete = max_dim not in grids or longest is not None and max_dim >= longest
     return ChainComplex(labels, max_dim, grids, runs, complete, birth is not None)
 
 

@@ -148,10 +148,12 @@ def cmd_homology(args) -> int:
     budget = _Budget(args.budget)
     try:
         budget.check("before complex construction")
-        g = _graph_from_source(args)
+        # the graph waits in a one-slot list that the call empties, so that
+        # build_complex holds its only reference and frees it before the
+        # cells grow
+        graph = [_graph_from_source(args)]
         budget.check("after graph construction")
-        cx = build_complex(g, args.max_dim)
-        del g  # nothing reads the graph once its cells are found
+        cx = build_complex(graph.pop(), args.max_dim)
         budget.check("after complex construction")
         summary = homology_summary(cx)
         budget.check("after homology")
@@ -212,12 +214,13 @@ def cmd_table(args) -> int:
         # reduction per degree gives every row's homology
         budget.check("before the complex")
         print(f"table: computing tangled cord n={args.n_max}", file=sys.stderr)
-        g = rooted_word_graph(tangled_cord(args.n_max)).graph
+        graph = [rooted_word_graph(tangled_cord(args.n_max)).graph]
         budget.check("after the word graph")
-        # beta2 is exact with cells through dim 3; nothing reads the graph
-        # once its cells are found
-        cx = build_complex(g, 3, _tangled_births(g, args.n_max))
-        del g
+        birth = _tangled_births(graph[0], args.n_max)
+        # beta2 is exact with cells through dim 3; the graph is handed over
+        # as in `cmd_homology`
+        cx = build_complex(graph.pop(), 3, birth)
+        del birth
         budget.check("before the homology")
         print(f"table: homology of n=2..{args.n_max}, one reduction per degree",
               file=sys.stderr)

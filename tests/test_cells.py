@@ -273,6 +273,29 @@ class TestBuildComplex:
         for n in (1, 2):
             assert a.boundary_matrix(n).triplets() == b.boundary_matrix(n).triplets()
 
+    @pytest.mark.parametrize("make, max_dim, at_top, complete", [
+        # a cycle a->c->d->a through the triangle abc: no path bounds it
+        (lambda: Digraph("abcd", [("a", "b"), ("b", "c"), ("a", "c"),
+                                  ("c", "d"), ("d", "a")]), 2, True, False),
+        # a DAG whose longest path, 5, exceeds max_dim
+        (lambda: rooted_word_graph(tangled_cord(5)).graph, 2, True, False),
+        # the 3-simplex: its longest path equals max_dim
+        (lambda: simplex_digraph(3), 3, True, True),
+        # a directed path: its longest path, 5, exceeds max_dim, but the top
+        # dimension is empty
+        (lambda: Digraph("abcdef", list(zip("abcde", "bcdef"))), 3, False, True),
+    ])
+    def test_handing_the_graph_over_changes_no_complex(self, make, max_dim, at_top, complete):
+        # build_complex takes the longest path before it drops the graph;
+        # whether the caller keeps the graph or not, the complex is the same
+        kept = make()
+        held = build_complex(kept, max_dim)
+        handed = build_complex(make(), max_dim)
+        assert handed._grids == held._grids and handed._runs == held._runs
+        assert handed.labels == held.labels
+        assert bool(handed.counts()[max_dim]) is at_top
+        assert handed.complete is held.complete is complete
+
     def test_birth_order_is_one_sort_by_birth_then_cell(self):
         g = rooted_word_graph(tangled_cord(12)).graph
         birth = _tangled_births(g, 12)

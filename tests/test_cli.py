@@ -1,5 +1,6 @@
 """Command-line interface: outputs, error paths, determinism, budgets."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from prodsim import Digraph, cli, rooted_word_graph, tangled_cord, word_label
+from prodsim import Digraph, cells, cli, rooted_word_graph, tangled_cord, word_label
 from prodsim.cli import main
 from oracles import TANGLED_REFERENCE
 
@@ -183,6 +184,32 @@ class TestHomology:
         for n in (1, 2, 3):
             with pytest.raises(RuntimeError, match="cells were released"):
                 cx.boundary_matrix(n)
+
+
+class TestGraphHandOver:
+    @pytest.mark.parametrize("argv", [("homology", "global", "3"),
+                                      ("homology", "rooted", "1213243545"),
+                                      ("table", "8")])
+    def test_no_graph_is_alive_while_cells_grow(self, capsys, monkeypatch, argv):
+        # the command hands its graph over and build_complex drops it once
+        # it holds the index form, so the first layer of cells grows with
+        # no graph of the command's alive; the spy only counts graphs
+        def graphs():
+            return sum(isinstance(o, Digraph) for o in gc.get_objects())
+
+        grow = cells._add_layer
+        alive = []
+
+        def first_layer(*args):
+            if not alive:
+                alive.append(graphs() - before)
+            return grow(*args)
+
+        monkeypatch.setattr(cells, "_add_layer", first_layer)
+        gc.collect()
+        before = graphs()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and alive == [0]
 
 
 class TestTable:

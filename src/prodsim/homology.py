@@ -64,28 +64,14 @@ class SnfResult:
         return len(self.invariant_factors)
 
 
-def _pick_pivot(rows):
-    # nonzero entry of minimum absolute value; ties by smallest row, then
-    # column.  Scanning rows ascending lets us stop at the first +-1.
-    best = None
-    for r in sorted(rows):
-        row = rows[r]
-        for c in sorted(row):
-            a = abs(row[c])
-            if best is None or a < best[0]:
-                best = (a, r, c)
-                if a == 1:
-                    return r, c
-    return best[1], best[2]
-
-
 def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
     """Smith normal form via unimodular row/column operations.
 
     A pre-pass eliminates the +-1 pivots (see `_unit_pass`); the non-unit
-    remainder is diagonalized with minimum-absolute-value pivoting to limit
-    coefficient growth, and its diagonal is folded into a divisibility chain
-    with one gcd/lcm pass per non-unit entry.
+    remainder is diagonalized by `_snf`, each pivot the entry of least
+    absolute value (then least row, then column) to limit coefficient
+    growth, and its diagonal is folded into a divisibility chain with one
+    gcd/lcm pass per non-unit entry.
 
     ``cuts`` lists nested leading blocks (rows, cols) in ascending order, by
     default the whole shape alone, and the result is the Smith form of the
@@ -107,9 +93,9 @@ def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
     rows on `table 16`); with one cut this is a single unit pass and Smith
     loop.
 
-    The eliminations work on row dicts made from m's flat rows as their
-    cut enters them (see `_rows`), the cleared ones left out, so m stays as
-    it was.
+    The eliminations work on row dicts that m hands out as their cut
+    enters them (`IntMatrix.row_dicts`), the cleared ones left out, so m
+    stays as it was and its layout is read in `matrices` alone.
 
     For m = d_{n+1} with d_n m = 0, `cleared` may name the columns of the
     +-1 pivots that `_unit_pass` found in d_n, under the same cuts; those
@@ -136,7 +122,7 @@ def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
         if nr < r0 or nc < c0:
             raise ValueError(f"cut {(nr, nc)} does not contain the cut {(r0, c0)} before it")
         before = len(rows)
-        rows.update(_rows(m, cleared, range(r0, nr), ncols))
+        rows.update(m.row_dicts(range(r0, nr), cleared, ncols))
         if k == last:
             # every row is read: a matrix and a cleared set handed over, as
             # `homology_summaries` hands them, are freed before the last
@@ -151,34 +137,9 @@ def snf(m: IntMatrix, *, cleared=(), cuts=None) -> SnfResult:
         units += len(pivots)
         paired.update(c for c in pivots if c >= c0)
         rest = _snf(_leftover(rows, cols, stuck))
-        per_cut.append((units + rest.rank, tuple(d for d in rest.invariant_factors if d != 1)))
+        per_cut.append((units + len(rest), tuple(d for d in rest if d != 1)))
         r0, c0 = nr, nc
-    return SnfResult((1,) * units + rest.invariant_factors, tuple(per_cut), paired)
-
-
-def _rows(m: IntMatrix, cleared=(), rows=None, ncols=None):
-    """(r, row dict) for each of ``rows`` of m, a range, by default all of
-    them, in order, cut at ``ncols`` columns and without the ``cleared`` and
-    the empty ones, for the eliminations to work on in place; m is left as
-    it is.
-
-    One pass over the rows' nonzeros hands each kept row its own and skips
-    a cleared row's."""
-    rows = range(m.nrows) if rows is None else rows
-    cut = ncols is not None and ncols < m.ncols
-    bounds = m.starts[rows.start:rows.stop + 1]
-    entries = zip(islice(m.cols, bounds[0], bounds[-1]), islice(m.vals, bounds[0], bounds[-1]))
-    for r, s, e in zip(rows, bounds, bounds[1:]):
-        if s == e:
-            continue
-        if r in cleared:
-            next(islice(entries, e - s - 1, None))
-            continue
-        row = dict(islice(entries, e - s))
-        if cut:
-            row = {c: v for c, v in row.items() if c < ncols}
-        if row:
-            yield r, row
+    return SnfResult((1,) * units + rest, tuple(per_cut), paired)
 
 
 def _leftover(rows, cols, stuck):
@@ -288,10 +249,12 @@ def _sub(target, source, q):
             del target[k]
 
 
-def _snf(rows) -> SnfResult:
+def _snf(rows) -> tuple:
+    """The invariant factors of {row: {col: v}}, which is used up."""
     diag = []
     while rows:
-        r, c = _pick_pivot(rows)
+        # nonzero entry of least absolute value, ties by row, then column
+        _, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
         while True:
             # clear column c with row operations, smallest row first (a
             # sorted list is a heap); a nonzero remainder becomes the pivot
@@ -340,7 +303,7 @@ def _snf(rows) -> SnfResult:
                 g = math.gcd(a, d)
                 vals[i], d = g, a * d // g
             vals.append(d)
-    return SnfResult((1,) * units + tuple(vals))
+    return (1,) * units + tuple(vals)
 
 
 def rational_rank(m: IntMatrix) -> int:

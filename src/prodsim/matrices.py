@@ -4,18 +4,8 @@ solver.  Entries are arbitrary-precision Python integers."""
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import sub
-
-
-def _values(vals):
-    """A list of ints as `IntMatrix` keeps its values: signed bytes when
-    every one fits in one, else the list."""
-    try:
-        return array("b", vals)
-    except OverflowError:
-        return vals
 
 
 class IntMatrix:
@@ -27,9 +17,11 @@ class IntMatrix:
     ``cols`` is a list; in a boundary matrix it holds the complex's shared
     cell indices.  ``vals`` is an array of signed bytes when every value
     fits in one, as a boundary matrix's +-1 do, and a list otherwise, so a
-    nonzero of a boundary matrix costs 9 bytes.  A matrix is not changed
-    once built: `snf` makes row dicts of its own, and equal matrices have
-    equal sequences.
+    nonzero of a boundary matrix costs 9 bytes.  Every constructor lays the
+    nonzeros out by one counting pass (`_lay_out`), and no other prodsim
+    module reads the layout: `snf` takes rows of its own from `row_dicts`.
+    A matrix is not changed once built, and equal matrices have equal
+    sequences.
     """
 
     __slots__ = ("nrows", "ncols", "starts", "cols", "vals")
@@ -39,27 +31,31 @@ class IntMatrix:
         for r, c in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-        entries = sorted((rc, v) for rc, v in entries.items() if v)
-        rows = [r for (r, _), _ in entries]
-        self.nrows, self.ncols = nrows, ncols
-        self.starts = array("q", map(bisect_left, repeat(rows), range(nrows + 1)))
-        self.cols, self.vals = [c for (_, c), _ in entries], _values([v for _, v in entries])
+        places = sorted((c, r) for (r, c), v in entries.items() if v)
+        self._lay_out(nrows, ncols, [r for _, r in places], [c for c, _ in places],
+                      [entries[r, c] for c, r in places])
 
     @classmethod
     def from_column_major(cls, nrows: int, ncols: int, rows, cols, vals) -> "IntMatrix":
         """The matrix with nonzero ``vals[e]`` at row ``rows[e]`` and column
         ``cols[e]``, listed in ascending column order, each place once.
         ``rows`` is a sequence; ``cols`` and ``vals`` are read once, in step
-        with it.  One counting pass lays the nonzeros out row by row, and each
-        row's columns come out ascending."""
+        with it."""
+        m = cls.__new__(cls)
+        m._lay_out(nrows, ncols, rows, cols, vals)
+        return m
+
+    def _lay_out(self, nrows, ncols, rows, cols, vals):
+        """Set the layout from nonzeros listed as for `from_column_major`.
+        One counting pass lays them out row by row, and each row's columns
+        come out ascending."""
         free = [0] * (nrows + 1)
         for r in rows:
             free[r + 1] += 1
         free = list(accumulate(free))  # each row's next free place
-        m = cls.__new__(cls)
-        m.nrows, m.ncols, m.starts = nrows, ncols, array("q", free)
-        m.cols = out_cols = [0] * len(rows)
-        m.vals = out_vals = array("b", bytes(len(rows)))
+        self.nrows, self.ncols, self.starts = nrows, ncols, array("q", free)
+        self.cols = out_cols = [0] * len(rows)
+        self.vals = out_vals = array("b", bytes(len(rows)))
         for r, c, v in zip(rows, cols, vals):
             at = free[r]
             free[r] = at + 1
@@ -67,9 +63,8 @@ class IntMatrix:
             try:
                 out_vals[at] = v
             except OverflowError:  # past a signed byte: every value goes to a list
-                m.vals = out_vals = list(out_vals)
+                self.vals = out_vals = list(out_vals)
                 out_vals[at] = v
-        return m
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -79,6 +74,30 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
                                       for j, v in enumerate(row)})
+
+    def row_dicts(self, rows=None, skip=(), ncols=None):
+        """(r, row dict) for each of ``rows``, a range, by default all of
+        them, in order, cut at ``ncols`` columns and without the ``skip``
+        ones and the empty ones, for the eliminations to work on in place;
+        the matrix is left as it is.
+
+        One pass over the rows' nonzeros hands each kept row its own and
+        skips a skipped row's."""
+        rows = range(self.nrows) if rows is None else rows
+        cut = ncols is not None and ncols < self.ncols
+        bounds = self.starts[rows.start:rows.stop + 1]
+        entries = zip(islice(self.cols, bounds[0], bounds[-1]), islice(self.vals, bounds[0], bounds[-1]))
+        for r, s, e in zip(rows, bounds, bounds[1:]):
+            if s == e:
+                continue
+            if r in skip:
+                next(islice(entries, e - s - 1, None))
+                continue
+            row = dict(islice(entries, e - s))
+            if cut:
+                row = {c: v for c, v in row.items() if c < ncols}
+            if row:
+                yield r, row
 
     def _row_ids(self):
         """Each nonzero's row, in storage order."""

@@ -268,7 +268,7 @@ def test_kunneth_on_factors_with_homology():
 
 
 def test_criterion_6d_snf_oracles():
-    # the suite checks rank and divisibility; the minor-gcd oracle then
+    # the suite checks ranks; the minor-gcd oracle then
     # takes the suite's matrices of dimensions <= 5
     ok, detail = SUITES["snf"](random.Random(20240904), 200)
     rng = random.Random(20240904)

@@ -29,8 +29,9 @@ from prodsim import (
     tennis_sphere,
     three_square_sphere,
 )
+from prodsim import homology
 from prodsim.cells import complex_to_json
-from prodsim.cli import main
+from prodsim.cli import _tangled_births, main
 from oracles import random_dow, simplex_digraph
 
 GOLDEN = {
@@ -43,7 +44,8 @@ GOLDEN = {
     "high_dim_6": "87563d0ac9d4cc8966ff9599fb4bc3e7117bec7a26f1ae3cc738780f3ced4c98",
     "word_layer": "4d031169382584ac329cd11e54ffc97cadd6ee11a58eb5e4d56fdba83717d769",
     "word_graphs": "23283cdc9e08c09112d8a0161b6bd27a9e937dff42611c3d170ca635ae1a5c9a",
-    "cli": "8fc58b76d79ff63a4b46e9f7a294656ec6ed1af94d21a35e0341031a1c1d3118",
+    "cli": "3a0447b43de16ae861907e458d8c65dd2da244cfac5ed615f0660c61b67f0648",
+    "smith_path": "d1aeb7ef066dab9024a66b6ab331466b241c5e21afe1aaf95e0309bd09cc3309",
     "benchmark_cli": "6a9cd2d0cac0d2c5278c1d42658a27580498489fd3c022f1886ee6b0928ca9cf",
 }
 
@@ -187,6 +189,34 @@ def word_graphs_digest():
                    for label, wg in _word_graphs())
 
 
+def _smith_path_complexes():
+    # G_10's birth-ordered complex with the table's cuts, and a global graph
+    # with the whole complex as its one cut
+    g = rooted_word_graph(tangled_cord(10)).graph
+    yield "tangled 10, n = 2..10", build_complex(g, 3, _tangled_births(g, 10)), range(2, 11)
+    yield "global 4", build_complex(global_word_graph(4).graph, 3), None
+
+
+def smith_path_digest(monkeypatch):
+    """Each `snf` call that `homology_summaries` makes: the matrix's shape,
+    each cut's (rank, non-unit factors) and the +-1 pivot columns handed
+    forward to clear the next degree."""
+    chunks = []
+    plain = homology.snf
+
+    def recorded(m, **kwargs):
+        shape = (m.nrows, m.ncols)
+        res = plain(m, **kwargs)
+        chunks.append(f"{shape}\n{res.per_cut!r}\n{sorted(res.paired)!r}")
+        return res
+
+    monkeypatch.setattr(homology, "snf", recorded)
+    for label, cx, born_by in _smith_path_complexes():
+        chunks.append(label)
+        homology.homology_summaries(cx, born_by)
+    return _digest(chunks)
+
+
 def cli_digest(capsys, commands=CLI_COMMANDS):
     chunks = []
     for argv in commands:
@@ -209,6 +239,11 @@ def test_word_graphs_digest():
 def test_word_layer_digest():
     got = word_layer_digest()
     assert got == GOLDEN["word_layer"], f"golden group 'word_layer' changed: {got}"
+
+
+def test_smith_path_digest(monkeypatch):
+    got = smith_path_digest(monkeypatch)
+    assert got == GOLDEN["smith_path"], f"golden group 'smith_path' changed: {got}"
 
 
 def test_cli_stdout_digest(capsys):
